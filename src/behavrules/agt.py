@@ -20,7 +20,7 @@ from .datamodel import (
     EmptyDatasetError,
     Rule,
 )
-from .precedence import rank_contexts
+from .precedence import rank_contexts, rank_splits, split
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,21 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
     if cfg.global_ranking:
         global_order = rank_contexts(ds, contexts).attributes
 
+    bits = ds.bits
     t = cfg.confidence_threshold
     next_id = 1
 
-    def grow(sub: Dataset, branch, remaining, ancestors) -> AgtNode:
+    # rows is the bitset of this node's instances (see Dataset.bits) and
+    # counts their class counts, which the parent's split already took
+    def grow(rows: int, counts, branch, remaining, ancestors) -> AgtNode:
         nonlocal next_id
-        counts = sub.class_counts()
         dominant = _dominant(counts)
         node = AgtNode(
             node_id=next_id,
             branch=branch,
             dominant_behavior=dominant,
             support=counts[dominant],
-            size=len(sub),
+            size=sum(counts.values()),
         )
         next_id += 1
 
@@ -114,20 +116,19 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
             return node  # pure node or exhausted contexts: leaf
 
         if global_order is not None:
-            split = next(a for a in global_order if a in remaining)
+            best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
         else:
-            split = rank_contexts(sub, remaining).top
-        node.split_attribute = split
-        rest = [a for a in remaining if a != split]
-        for val in sub.schema.domain(split):
-            child_ds = sub.subset(split, val)
-            if len(child_ds) > 0:
-                node.children.append(
-                    grow(child_ds, (split, val), rest, ancestors + [node])
-                )
+            best = rank_splits(ds, rows, counts, remaining)[0]
+        node.split_attribute = best.attr
+        rest = [a for a in remaining if a != best.attr]
+        for val, child_counts in best.children:
+            child = rows & bits.conditions[best.attr, val]
+            node.children.append(
+                grow(child, child_counts, (best.attr, val), rest, ancestors + [node])
+            )
         return node
 
-    return grow(ds, None, contexts, [])
+    return grow(bits.rows, bits.class_counts(bits.rows), None, contexts, [])
 
 
 def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:

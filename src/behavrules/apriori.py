@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 from .datamodel import Condition, ConfigError, Dataset, Rule
 
@@ -20,57 +22,54 @@ class FrequentItemset:
     support: int  # number of instances matching every condition
 
 
-def _coverage(ds: Dataset, items: Iterable[Condition]) -> int:
-    conditions = list(items)
-    return sum(1 for inst in ds.instances if inst.matches(conditions))
-
-
 def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     """Level-wise frequent itemset mining over context conditions.
 
     Candidates joining two conditions on the same attribute are skipped
     outright (single-valued nominal data gives them zero coverage), and
     any candidate with an infrequent subset is pruned before counting.
+    Counting is vertical: a candidate's rows are its prefix's rows ANDed
+    with its last condition's rows (see Dataset.bits).
     """
     if min_support < 1:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
 
-    singles: list[tuple[Condition, ...]] = []
-    for attr, domain in ds.schema.attributes:
-        for val in domain:
-            singles.append(((attr, val),))
+    conditions = ds.bits.conditions
+    singles = sorted((cond,) for cond in conditions)
 
-    # itemsets are kept as sorted condition tuples and each level is kept
-    # sorted, so the prefix join and subset lookups line up
-    singles.sort()
+    # itemsets are kept as sorted condition tuples and each level, a dict
+    # from itemset to its rows, is kept sorted, so the prefix join and
+    # subset lookups line up
     result: list[FrequentItemset] = []
-    level = []
+    level: dict[tuple[Condition, ...], int] = {}
     for itemset in singles:
-        cov = _coverage(ds, itemset)
+        rows = conditions[itemset[0]]
+        cov = rows.bit_count()
         if cov >= min_support:
-            level.append(itemset)
+            level[itemset] = rows
             result.append(FrequentItemset(frozenset(itemset), cov))
 
     while level:
-        level_set = set(level)
+        ordered = list(level)
         candidates = []
-        for i, left in enumerate(level):
-            for right in level[i + 1:]:
+        for i, left in enumerate(ordered):
+            for right in ordered[i + 1:]:
                 if left[:-1] != right[:-1]:
                     break  # sorted level: no further shared prefix
                 if left[-1][0] == right[-1][0]:
                     continue  # two values of one attribute never co-occur
                 candidate = left + (right[-1],)
                 if all(
-                    candidate[:j] + candidate[j + 1:] in level_set
+                    candidate[:j] + candidate[j + 1:] in level
                     for j in range(len(candidate))
                 ):
                     candidates.append(candidate)
-        level = []
+        prefixes, level = level, {}
         for itemset in sorted(candidates):
-            cov = _coverage(ds, itemset)
+            rows = prefixes[itemset[:-1]] & conditions[itemset[-1]]
+            cov = rows.bit_count()
             if cov >= min_support:
-                level.append(itemset)
+                level[itemset] = rows
                 result.append(FrequentItemset(frozenset(itemset), cov))
     return result
 
@@ -89,15 +88,12 @@ def generate_cars(
     ordered = sorted(
         frequent, key=lambda fi: (len(fi.items), tuple(sorted(fi.items)))
     )
+    bits = ds.bits
     rules: list[Rule] = []
     for fi in ordered:
-        conditions = sorted(fi.items)
-        class_hits: dict[str, int] = {}
-        for inst in ds.instances:
-            if inst.matches(conditions):
-                class_hits[inst.behavior] = class_hits.get(inst.behavior, 0) + 1
-        for cls in sorted(ds.schema.behavior_classes):
-            support = class_hits.get(cls, 0)
+        rows = reduce(and_, (bits.conditions[c] for c in fi.items), bits.rows)
+        for cls, cls_rows in bits.classes.items():  # sorted labels
+            support = (rows & cls_rows).bit_count()
             if support >= min_support and Fraction(support, fi.support) >= threshold:
                 rules.append(Rule(fi.items, cls, support, fi.support))
     return rules
@@ -112,13 +108,18 @@ def filter_redundant(rules: list[Rule]) -> list[Rule]:
     """Drop every rule that strictly extends another rule with the same consequent.
 
     Input is assumed threshold-valid already; only minimal-antecedent rules
-    survive, in their original order.
+    survive, in their original order. Each rule looks up its proper
+    antecedent subsets (the empty one included) instead of scanning every
+    other rule.
     """
+    present = {(rule.consequent, rule.antecedent) for rule in rules}
     kept = []
     for rule in rules:
+        items = tuple(rule.antecedent)
         shadowed = any(
-            other.consequent == rule.consequent and other.antecedent < rule.antecedent
-            for other in rules
+            (rule.consequent, frozenset(sub)) in present
+            for k in range(len(items))
+            for sub in combinations(items, k)
         )
         if not shadowed:
             kept.append(rule)

@@ -8,6 +8,7 @@ violation (including a failing selftest).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -261,6 +262,8 @@ def main(argv=None) -> int:
         GenerationError,
         EmptyDatasetError,
         FileNotFoundError,
+        UnicodeDecodeError,
+        csv.Error,
         json.JSONDecodeError,
         KeyError,
     ) as exc:

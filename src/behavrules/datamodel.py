@@ -1,14 +1,18 @@
 """Core categorical-data types: schema, instances, datasets, rules.
 
-Everything here is immutable after construction and safe to share across
-threads. Confidence values are exact rationals (support / coverage), so
-threshold comparisons like ">= 80%" never suffer float rounding.
+Schemas, datasets and rules are frozen dataclasses; an Instance holds its
+context values in a plain dict, which callers must not mutate. A Dataset
+caches one derived encoding (row-id bitsets, see RowBits) on first use;
+the cache never changes what a public method returns.
+Confidence values are exact rationals (support / coverage), so threshold
+comparisons like ">= 80%" never suffer float rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -73,9 +77,6 @@ class ContextSchema:
                 return domain
         raise SchemaViolation("unknown attribute %r" % attr)
 
-    def has_attribute(self, attr: str) -> bool:
-        return any(name == attr for name, _ in self.attributes)
-
     def fingerprint(self) -> str:
         """Stable hash of the schema shape, insensitive to domain order."""
         h = hashlib.sha256()
@@ -118,6 +119,58 @@ class Instance:
 
 
 @dataclass(frozen=True)
+class RowBits:
+    """Row-id bitsets of one dataset, one Python int per set.
+
+    Every count the miners take is the popcount of an AND of these sets,
+    e.g. ``(conditions[c] & classes[k]).bit_count()``. Row i of an n-row
+    dataset is bit n-1-i, so a set's first row is its highest bit, which
+    int.bit_length reads in O(1); finding the lowest bit costs a pass over
+    the whole int.
+    """
+
+    rows: int  # every row
+    conditions: dict[Condition, int]  # rows carrying each (attr, value)
+    classes: dict[str, int]  # rows of each behavior class, labels sorted
+
+    @classmethod
+    def encode(cls, schema: ContextSchema, instances: tuple[Instance, ...]) -> "RowBits":
+        last = len(instances) - 1
+        size = (len(instances) + 7) >> 3
+        columns = {
+            name: {val: bytearray(size) for val in domain}
+            for name, domain in schema.attributes
+        }
+        labels = {c: bytearray(size) for c in sorted(schema.behavior_classes)}
+        for i, inst in enumerate(instances):
+            j = last - i
+            byte, bit = j >> 3, 1 << (j & 7)
+            values = inst.values
+            for name, column in columns.items():
+                column[values[name]][byte] |= bit
+            labels[inst.behavior][byte] |= bit
+        return cls(
+            rows=(1 << len(instances)) - 1,
+            conditions={
+                (name, val): int.from_bytes(buf, "little")
+                for name, column in columns.items()
+                for val, buf in column.items()
+            },
+            classes={c: int.from_bytes(buf, "little") for c, buf in labels.items()},
+        )
+
+    def class_counts(self, rows: int) -> dict[str, int]:
+        """Class sizes within rows, in order of each class's first row."""
+        present = []
+        for label, bits in self.classes.items():
+            hit = rows & bits
+            if hit:
+                present.append((-hit.bit_length(), label, hit))
+        present.sort()
+        return {label: hit.bit_count() for _, label, hit in present}
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Ordered collection of instances sharing one schema.
 
@@ -147,11 +200,14 @@ class Dataset:
         kept = tuple(i for i in self.instances if i.values[attr] == val)
         return Dataset(self.schema, kept)
 
+    @cached_property
+    def bits(self) -> RowBits:
+        """Row-id bitsets over this dataset, built on first use."""
+        return RowBits.encode(self.schema, self.instances)
+
     def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for inst in self.instances:
-            counts[inst.behavior] = counts.get(inst.behavior, 0) + 1
-        return counts
+        """Instances per behavior class, in order of each class's first instance."""
+        return self.bits.class_counts(self.bits.rows)
 
     def fingerprint(self) -> str:
         return "%d:%s" % (len(self.instances), self.schema.fingerprint())

@@ -18,13 +18,20 @@ REPORT_HEADER = "threshold,apriori_rules,agt_rules,apriori_redundancy_ratio"
 
 
 def parse_threshold(text: str) -> Fraction:
-    """Accept "80", "80%", or "0.8"; values above 1 are percentages."""
-    text = text.strip().rstrip("%")
+    """Accept "80", "80%", or "0.8".
+
+    A "%" suffix always means percent ("0.5%" is 1/200); a bare number
+    above 1 is a percentage too, so "80" and "0.8" agree.
+    """
+    number = text.strip()
+    percent = number.endswith("%")
+    if percent:
+        number = number[:-1]
     try:
-        value = Fraction(text)
+        value = Fraction(number)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("bad threshold %r" % text) from exc
-    if value > 1:
+    if percent or value > 1:
         value /= 100
     if not (0 < value <= 1):
         raise ConfigError("threshold must be in (0, 1], got %s" % text)

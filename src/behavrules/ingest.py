@@ -215,32 +215,41 @@ def load_log(
     rows: list[tuple[dict[str, str], str]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=mapping.delimiter)
-        header = reader.fieldnames or []
-        needed = [mapping.timestamp_col, mapping.type_col, mapping.duration_col]
-        needed.extend(mapping.context_cols)
-        for col in needed:
-            if col not in header:
-                raise ConfigError("mapped column %r not in header %r" % (col, header))
-        for lineno, row in enumerate(reader, start=2):
-            summary.rows_read += 1
-            try:
-                ts = parse_timestamp(row[mapping.timestamp_col])
-                duration = int(row[mapping.duration_col].strip())
-                behavior = derive_behavior(row[mapping.type_col], duration)
-            except (ValueError, IngestError) as exc:
-                if strict:
-                    raise IngestError("line %d: %s" % (lineno, exc)) from exc
-                summary.skipped += 1
-                summary.skip_reasons.append("line %d: %s" % (lineno, exc))
-                continue
-            label = segment_timestamp(ts, seg)
-            if label == UNSEGMENTED:
-                summary.unsegmented += 1
-            values = {TIME_ATTRIBUTE: label}
-            for col in mapping.context_cols:
-                cell = (row.get(col) or "").strip()
-                values[col] = cell if cell else UNKNOWN_VALUE
-            rows.append((values, behavior))
+        try:
+            header = reader.fieldnames or []
+            needed = [mapping.timestamp_col, mapping.type_col, mapping.duration_col]
+            needed.extend(mapping.context_cols)
+            for col in needed:
+                if col not in header:
+                    raise ConfigError("mapped column %r not in header %r" % (col, header))
+            last_col = header[-1]
+            for lineno, row in enumerate(reader, start=2):
+                summary.rows_read += 1
+                try:
+                    # DictReader fills the cells a short row lacks with None
+                    if row[last_col] is None:
+                        raise IngestError("row has fewer cells than the header")
+                    ts = parse_timestamp(row[mapping.timestamp_col])
+                    duration = int(row[mapping.duration_col].strip())
+                    behavior = derive_behavior(row[mapping.type_col], duration)
+                except (ValueError, IngestError) as exc:
+                    if strict:
+                        raise IngestError("line %d: %s" % (lineno, exc)) from exc
+                    summary.skipped += 1
+                    summary.skip_reasons.append("line %d: %s" % (lineno, exc))
+                    continue
+                label = segment_timestamp(ts, seg)
+                if label == UNSEGMENTED:
+                    summary.unsegmented += 1
+                values = {TIME_ATTRIBUTE: label}
+                for col in mapping.context_cols:
+                    cell = (row.get(col) or "").strip()
+                    values[col] = cell if cell else UNKNOWN_VALUE
+                rows.append((values, behavior))
+        except UnicodeDecodeError as exc:
+            raise IngestError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+        except csv.Error as exc:
+            raise IngestError("%s line %d: %s" % (path, reader.line_num, exc)) from exc
 
     attr_names = [TIME_ATTRIBUTE] + list(mapping.context_cols)
     domains: dict[str, list[str]] = {name: [] for name in attr_names}

@@ -3,7 +3,9 @@
 The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
-reproducible.
+reproducible. Class counts come from the dataset's row bitsets
+(Dataset.bits), so the tree can rank the rows of any node without
+building a sub-dataset.
 """
 
 from __future__ import annotations
@@ -11,11 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .datamodel import Dataset, SchemaViolation
 
 GAIN_TOLERANCE = 1e-12
+
+
+def _entropy(counts: Iterable[int], n: int) -> float:
+    total = 0.0
+    for count in counts:
+        p = count / n
+        total -= p * math.log2(p)
+    return total
 
 
 def entropy(ds: Dataset) -> float:
@@ -24,31 +34,64 @@ def entropy(ds: Dataset) -> float:
     Absent classes contribute 0 (the 0*log2(0) convention); an empty
     dataset has entropy 0.
     """
-    n = len(ds)
+    return _entropy(ds.class_counts().values(), len(ds))
+
+
+class Split(NamedTuple):
+    """One way to partition a node's rows: by the values of attr."""
+
+    attr: str
+    gain: float
+    # (value, class counts) of each non-empty child, in domain order
+    children: list[tuple[str, dict[str, int]]]
+
+
+def split(ds: Dataset, rows: int, counts: dict[str, int], attr: str) -> Split:
+    """Partition the rows in bitset rows (see Dataset.bits) by attr.
+
+    counts are the class counts of rows, in first-row order. Children are
+    summed in domain order and each child's classes in first-row order,
+    so the gain is the same float however the rows are stored.
+    """
+    domain = ds.schema.domain(attr)  # also rejects an unknown attribute
+    n = sum(counts.values())
     if n == 0:
-        return 0.0
-    total = 0.0
-    for count in ds.class_counts().values():
-        p = count / n
-        total -= p * math.log2(p)
-    return total
+        return Split(attr, 0.0, [])
+    bits = ds.bits
+    children = []
+    split_entropy = 0.0
+    for val in domain:
+        sub = rows & bits.conditions[attr, val]
+        if sub:
+            child = bits.class_counts(sub)
+            size = sum(child.values())
+            split_entropy += (size / n) * _entropy(child.values(), size)
+            children.append((val, child))
+    gain = _entropy(counts.values(), n) - split_entropy
+    # numeric noise can push a zero gain slightly negative
+    return Split(attr, max(gain, 0.0), children)
 
 
 def information_gain(ds: Dataset, attr: str) -> float:
     """Expected entropy reduction from partitioning ds by attr's values."""
-    if not ds.schema.has_attribute(attr):
-        raise SchemaViolation("unknown attribute %r" % attr)
-    n = len(ds)
-    if n == 0:
-        return 0.0
-    split_entropy = 0.0
-    for val in ds.schema.domain(attr):
-        sub = ds.subset(attr, val)
-        if len(sub) > 0:
-            split_entropy += (len(sub) / n) * entropy(sub)
-    gain = entropy(ds) - split_entropy
-    # numeric noise can push a zero gain slightly negative
-    return max(gain, 0.0)
+    return split(ds, ds.bits.rows, ds.class_counts(), attr).gain
+
+
+def _compare(a: Split, b: Split) -> int:
+    if a.gain > b.gain + GAIN_TOLERANCE:
+        return -1
+    if b.gain > a.gain + GAIN_TOLERANCE:
+        return 1
+    return -1 if a.attr < b.attr else (1 if a.attr > b.attr else 0)
+
+
+def rank_splits(
+    ds: Dataset, rows: int, counts: dict[str, int], candidates: Sequence[str]
+) -> list[Split]:
+    """Splits of rows by each candidate, highest gain first; ties by name."""
+    splits = [split(ds, rows, counts, name) for name in candidates]
+    splits.sort(key=cmp_to_key(_compare))
+    return splits
 
 
 @dataclass(frozen=True)
@@ -62,10 +105,6 @@ class PrecedenceRanking:
     def attributes(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
 
-    @property
-    def top(self) -> str:
-        return self.entries[0][0]
-
     def __str__(self) -> str:
         lines = ["rank  attribute            gain"]
         for i, (name, gain) in enumerate(self.entries, start=1):
@@ -77,14 +116,5 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     """Rank candidate attributes by gain, descending; ties by name."""
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
-    gains = [(name, information_gain(ds, name)) for name in candidates]
-
-    def compare(a, b):
-        if a[1] > b[1] + GAIN_TOLERANCE:
-            return -1
-        if b[1] > a[1] + GAIN_TOLERANCE:
-            return 1
-        return -1 if a[0] < b[0] else (1 if a[0] > b[0] else 0)
-
-    gains.sort(key=cmp_to_key(compare))
-    return PrecedenceRanking(tuple(gains), ds.fingerprint())
+    splits = rank_splits(ds, ds.bits.rows, ds.class_counts(), candidates)
+    return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits), ds.fingerprint())

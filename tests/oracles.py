@@ -1,14 +1,20 @@
 """Independent reference implementations used to check the miners.
 
 Nothing here shares code with the package's mining paths: rules are found
-by exhaustive enumeration with direct counting, with no candidate pruning.
+by exhaustive enumeration with direct counting, with no candidate pruning,
+and the reference tree and filter are the row-scanning and pairwise
+versions the package replaced.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from behavrules.datamodel import ContextSchema, Dataset, Instance, Rule
+
+GAIN_TOLERANCE = 1e-12
 
 
 def brute_force_cars(ds, threshold, min_support=1):
@@ -33,6 +39,127 @@ def brute_force_cars(ds, threshold, min_support=1):
                         if Fraction(support, coverage) >= threshold:
                             rules.add((frozenset(conditions), cls, support, coverage))
     return rules
+
+
+def direct_frequent(ds, min_support=1):
+    """{frozenset(conditions): support} of every frequent condition set."""
+    found = {}
+    attrs = ds.schema.attributes
+    for k in range(1, len(attrs) + 1):
+        for chosen in itertools.combinations(attrs, k):
+            for values in itertools.product(*(domain for _, domain in chosen)):
+                conditions = tuple(
+                    (name, val) for (name, _), val in zip(chosen, values)
+                )
+                support = sum(1 for i in ds.instances if i.matches(conditions))
+                if support >= min_support:
+                    found[frozenset(conditions)] = support
+    return found
+
+
+def reference_filter_redundant(rules):
+    """The quadratic minimal-antecedent filter: compare every pair of rules."""
+    kept = []
+    for rule in rules:
+        shadowed = any(
+            other.consequent == rule.consequent and other.antecedent < rule.antecedent
+            for other in rules
+        )
+        if not shadowed:
+            kept.append(rule)
+    return kept
+
+
+def _class_counts(instances):
+    counts = {}
+    for inst in instances:
+        counts[inst.behavior] = counts.get(inst.behavior, 0) + 1
+    return counts
+
+
+def _entropy(instances):
+    n = len(instances)
+    total = 0.0
+    for count in _class_counts(instances).values():
+        p = count / n
+        total -= p * math.log2(p)
+    return total
+
+
+def _gain(schema, instances, attr):
+    n = len(instances)
+    if n == 0:
+        return 0.0
+    split_entropy = 0.0
+    for val in schema.domain(attr):
+        sub = [i for i in instances if i.values[attr] == val]
+        if sub:
+            split_entropy += (len(sub) / n) * _entropy(sub)
+    return max(_entropy(instances) - split_entropy, 0.0)
+
+
+def reference_ranking(schema, instances, candidates):
+    """(attribute, gain) pairs by gain, ties within 1e-12 by name."""
+    gains = [(name, _gain(schema, instances, name)) for name in candidates]
+
+    def compare(a, b):
+        if a[1] > b[1] + GAIN_TOLERANCE:
+            return -1
+        if b[1] > a[1] + GAIN_TOLERANCE:
+            return 1
+        return -1 if a[0] < b[0] else (1 if a[0] > b[0] else 0)
+
+    gains.sort(key=cmp_to_key(compare))
+    return tuple(gains)
+
+
+def reference_tree(ds, cfg):
+    """Grow the association generation tree by filtering instance lists.
+
+    The tree miner before it counted with row bitsets: every node holds
+    its instances and every gain partitions them anew.
+    """
+    from behavrules.agt import AgtNode
+
+    schema = ds.schema
+    contexts = list(schema.attribute_names)
+    global_order = None
+    if cfg.global_ranking:
+        global_order = [a for a, _ in reference_ranking(schema, ds.instances, contexts)]
+    t = cfg.confidence_threshold
+    next_id = 1
+
+    def grow(instances, branch, remaining, ancestors):
+        nonlocal next_id
+        counts = _class_counts(instances)
+        dominant = min(counts, key=lambda c: (-counts[c], c))
+        node = AgtNode(next_id, branch, dominant, counts[dominant], len(instances))
+        next_id += 1
+        if ancestors and node.confidence >= t:
+            compare_to = [ancestors[-1]]
+            if cfg.strict_redundancy:
+                qualifying = [a for a in ancestors if a.confidence >= t]
+                if qualifying:
+                    compare_to.append(qualifying[-1])
+            node.redundant = any(
+                anc.confidence >= t and anc.dominant_behavior == dominant
+                for anc in compare_to
+            )
+        if node.confidence == 1 or not remaining:
+            return node
+        if global_order is not None:
+            split = next(a for a in global_order if a in remaining)
+        else:
+            split = reference_ranking(schema, instances, remaining)[0][0]
+        node.split_attribute = split
+        rest = [a for a in remaining if a != split]
+        for val in schema.domain(split):
+            sub = [i for i in instances if i.values[split] == val]
+            if sub:
+                node.children.append(grow(sub, (split, val), rest, ancestors + [node]))
+        return node
+
+    return grow(list(ds.instances), None, contexts, [])
 
 
 def random_dataset(rng: random.Random, max_attrs=4, max_vals=4, max_inst=12):

@@ -108,6 +108,46 @@ class TestErrors:
     def test_bad_threshold_exits_1(self, demo_csv, capsys):
         assert main(["mine-agt", demo_csv, "--min-conf", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b"\xff\xfe,incoming,1,Boss\n",  # not UTF-8
+            b"2004-09-17 09:30:00,incoming,42," + b"x" * 200_000 + b"\n",  # csv.Error
+        ],
+        ids=["not-utf8", "csv-error"],
+    )
+    def test_unreadable_log_exits_1_with_one_line(self, tmp_path, capsys, tail):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"timestamp,call_type,duration,Relation\n" + tail)
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        assert main(["ingest", str(log), "--mapping", str(mapping)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_dataset_exits_1(self, tmp_path, capsys):
+        dataset = tmp_path / "ds.csv"
+        dataset.write_bytes(b"Relation,behavior\n\xffBoss,Accept\n")
+        assert main(["mine-agt", str(dataset), "--min-conf", "80"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_short_log_row_is_counted_and_skipped(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "timestamp,call_type,duration,Relation\n"
+            "2004-09-17 09:30:00,incoming,42,Boss\n"
+            "2004-09-17 10:30:00,incoming\n"
+        )
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        args = ["ingest", str(log), "--mapping", str(mapping)]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "skipped:      1" in err
+        assert "line 3: row has fewer cells than the header" in err
+        assert main(args + ["--strict"]) == 1
+
 
 class TestPipeline:
     def test_gen_ingest_round_trip_fingerprint(self, tmp_path, capsys):

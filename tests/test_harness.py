@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from behavrules import agt
 from behavrules.datamodel import ConfigError, ContextSchema
@@ -30,10 +32,29 @@ class TestParseThreshold:
     def test_accepted_forms(self, text, expected):
         assert parse_threshold(text) == expected
 
-    @pytest.mark.parametrize("text", ["0", "-5", "101", "abc", ""])
+    @pytest.mark.parametrize("text", ["0", "-5", "101", "abc", "", "0%", "101%", "%"])
     def test_rejected_forms(self, text):
         with pytest.raises(ConfigError):
             parse_threshold(text)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("1%", Fraction(1, 100)), ("0.5%", Fraction(1, 200)), ("100%", Fraction(1))],
+    )
+    def test_small_percentages(self, text, expected):
+        assert parse_threshold(text) == expected
+
+    @given(st.integers(1, 100_000))
+    def test_percent_suffix_always_divides_by_100(self, thousandths):
+        text = "%d.%03d%%" % divmod(thousandths, 1000)
+        assert parse_threshold(text) == Fraction(thousandths, 100_000)
+
+    @given(st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(bool))
+    def test_bare_numbers_keep_their_meaning(self, value):
+        expected = value if value <= 1 else value / 100
+        assert parse_threshold(str(value)) == expected
+        if value > 1:  # a bare percentage and its "%" form agree
+            assert parse_threshold("%s%%" % value) == expected
 
 
 class TestSweep:

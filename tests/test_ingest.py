@@ -180,3 +180,28 @@ class TestLoadLog:
         cfg.write_text("timestamp_col=timestamp\n")
         with pytest.raises(ConfigError):
             ColumnMapping.from_file(str(cfg))
+
+    def test_short_row_skipped_in_lenient_mode(self, tmp_path):
+        rows = GOOD_ROWS[:]
+        rows[2] = "2004-09-17 10:05:00,incoming"
+        ds, summary = load_log(self._write(tmp_path, rows), MAPPING)
+        assert len(ds) == 3
+        assert summary.skipped == 1
+        assert summary.skip_reasons == ["line 3: row has fewer cells than the header"]
+
+    def test_short_row_aborts_in_strict_mode(self, tmp_path):
+        rows = GOOD_ROWS[:]
+        rows[2] = "2004-09-17 10:05:00,incoming,0,Friend"
+        with pytest.raises(IngestError, match="line 3"):
+            load_log(self._write(tmp_path, rows), MAPPING, strict=True)
+
+    def test_non_utf8_input_is_ingest_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(("\n".join(GOOD_ROWS) + "\n").encode() + b"\xff\xfe,bad\n")
+        with pytest.raises(IngestError, match="codec can't decode"):
+            load_log(str(path), MAPPING)
+
+    def test_malformed_csv_is_ingest_error(self, tmp_path):
+        rows = GOOD_ROWS + ["2004-09-17 09:30:00,incoming,42,Boss," + "x" * 200_000]
+        with pytest.raises(IngestError, match="field larger than field limit"):
+            load_log(self._write(tmp_path, rows), MAPPING)
