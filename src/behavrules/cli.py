@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import agt, apriori, fixtures, harness, precedence, serialize, synth
-from .datamodel import ConfigError, EmptyDatasetError, SchemaViolation
+from .datamodel import ConfigError, ContextSchema, EmptyDatasetError, SchemaViolation
 from .ingest import ColumnMapping, IngestError, SegmentationConfig, load_log
 from .synth import GenerationError, PlantedRuleSpec
 
@@ -101,38 +101,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
+def _spec_key(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigError("%s lacks key %r" % (where, key))
+    return obj[key]
+
+
+def _spec_int(value, key: str) -> int:
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError("spec %s must be an integer, got %r" % (key, value))
+
+
+def _read_spec(path: str):
+    """(schema, planted rules, spec) from a JSON generation spec."""
+    with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
-    attributes = spec["attributes"]
+    if not isinstance(spec, dict):
+        raise ConfigError("spec %s is not a JSON object" % path)
+    attributes = _spec_key(spec, "attributes", "spec")
     if isinstance(attributes, dict):
         attributes = list(attributes.items())
-    from .datamodel import ContextSchema
+    if not (
+        isinstance(attributes, list)
+        and all(isinstance(a, (list, tuple)) and len(a) == 2 and isinstance(a[1], list)
+                for a in attributes)
+    ):
+        raise ConfigError("spec attributes must map each name to a list of values")
+    classes = _spec_key(spec, "classes", "spec")
+    if not isinstance(classes, list):
+        raise ConfigError("spec classes must be a list")
+    schema = ContextSchema.create(attributes, classes)
+    rules = spec.get("rules", [])
+    if not isinstance(rules, list):
+        raise ConfigError("spec rules must be a list")
+    planted = []
+    for i, r in enumerate(rules, start=1):
+        where = "spec rule %d" % i
+        if not isinstance(r, dict):
+            raise ConfigError("%s is not a JSON object" % where)
+        antecedent = _spec_key(r, "antecedent", where)
+        if not isinstance(antecedent, dict):
+            raise ConfigError("%s antecedent is not a JSON object" % where)
+        weight = _spec_key(r, "weight", where)
+        try:
+            weight = float(weight)
+        except (TypeError, ValueError):
+            raise ConfigError("%s weight must be a number, got %r" % (where, weight)) from None
+        planted.append(PlantedRuleSpec(
+            antecedent=tuple(sorted(antecedent.items())),
+            consequent=_spec_key(r, "consequent", where),
+            target_confidence=harness.parse_threshold(str(_spec_key(r, "confidence", where))),
+            weight=weight,
+        ))
+    return schema, planted, spec
 
-    schema = ContextSchema.create(attributes, spec["classes"])
-    planted = [
-        PlantedRuleSpec(
-            antecedent=tuple(sorted(r["antecedent"].items())),
-            consequent=r["consequent"],
-            target_confidence=harness.parse_threshold(str(r["confidence"])),
-            weight=float(r["weight"]),
-        )
-        for r in spec.get("rules", [])
-    ]
-    n = args.n if args.n is not None else int(spec["n"])
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+
+def _cmd_gen(args) -> int:
+    schema, planted, spec = _read_spec(args.spec)
+    n = args.n if args.n is not None else _spec_int(_spec_key(spec, "n", "spec"), "n")
+    seed = args.seed if args.seed is not None else _spec_int(spec.get("seed", 0), "seed")
     ds = synth.generate(schema, planted, n, seed)
-    if args.out == "-":
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as tmp:
-            path = tmp.name
-        synth.write_log(ds, path)
-        with open(path, encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
-        os.unlink(path)
-    else:
-        synth.write_log(ds, _out_path(args.out))
+    synth.write_log(ds, sys.stdout if args.out == "-" else _out_path(args.out))
     return 0
 
 
@@ -262,10 +298,12 @@ def main(argv=None) -> int:
         GenerationError,
         EmptyDatasetError,
         FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
         UnicodeDecodeError,
         csv.Error,
         json.JSONDecodeError,
-        KeyError,
     ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

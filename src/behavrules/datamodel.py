@@ -1,9 +1,13 @@
 """Core categorical-data types: schema, instances, datasets, rules.
 
-Schemas, datasets and rules are frozen dataclasses; an Instance holds its
-context values in a plain dict, which callers must not mutate. A Dataset
-caches one derived encoding (row-id bitsets, see RowBits) on first use;
-the cache never changes what a public method returns.
+Schemas, datasets and rules are frozen dataclasses. A Dataset stores its
+rows as columns: one tuple of values per attribute, in schema order, plus
+a tuple of behavior labels. The loaders fill those columns directly and
+build no per-row objects. Two views are derived from the columns and
+cached on first use: `instances`, one Instance per row (its values are a
+plain dict, which callers must not mutate), and `bits`, the row-id bitsets
+the miners count with (see RowBits). The caches never change what a
+public method returns.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -42,11 +46,12 @@ class ContextSchema:
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
     behavior_classes: frozenset[str]
+    attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.attributes]
+        names = tuple(name for name, _ in self.attributes)
         if len(names) != len(set(names)):
-            raise SchemaViolation("duplicate attribute names: %r" % names)
+            raise SchemaViolation("duplicate attribute names: %r" % list(names))
         for name, domain in self.attributes:
             if not name:
                 raise SchemaViolation("empty attribute name")
@@ -60,16 +65,13 @@ class ContextSchema:
             raise SchemaViolation("behavior_classes must be non-empty")
         if any(not c for c in self.behavior_classes):
             raise SchemaViolation("empty behavior class label")
+        object.__setattr__(self, "attribute_names", names)
 
     @classmethod
     def create(cls, attributes, behavior_classes) -> "ContextSchema":
         """Build a schema from any iterable of (name, values) pairs."""
         attrs = tuple((name, tuple(values)) for name, values in attributes)
         return cls(attrs, frozenset(behavior_classes))
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.attributes)
 
     def domain(self, attr: str) -> tuple[str, ...]:
         for name, domain in self.attributes:
@@ -134,29 +136,28 @@ class RowBits:
     classes: dict[str, int]  # rows of each behavior class, labels sorted
 
     @classmethod
-    def encode(cls, schema: ContextSchema, instances: tuple[Instance, ...]) -> "RowBits":
-        last = len(instances) - 1
-        size = (len(instances) + 7) >> 3
-        columns = {
-            name: {val: bytearray(size) for val in domain}
-            for name, domain in schema.attributes
-        }
-        labels = {c: bytearray(size) for c in sorted(schema.behavior_classes)}
-        for i, inst in enumerate(instances):
-            j = last - i
-            byte, bit = j >> 3, 1 << (j & 7)
-            values = inst.values
-            for name, column in columns.items():
-                column[values[name]][byte] |= bit
-            labels[inst.behavior][byte] |= bit
+    def encode(cls, schema: ContextSchema, columns, behaviors) -> "RowBits":
+        n = len(behaviors)
+        size = (n + 7) >> 3
+        # byte and bit of each row, from row 0 (bit n-1) on
+        spots = range(n - 1, -1, -1)
+        byte_of = [j >> 3 for j in spots]
+        bit_of = [1 << (j & 7) for j in spots]
+
+        def column_bits(values, domain):
+            bufs = {val: bytearray(size) for val in domain}
+            for byte, bit, val in zip(byte_of, bit_of, values):
+                bufs[val][byte] |= bit
+            return {val: int.from_bytes(buf, "little") for val, buf in bufs.items()}
+
         return cls(
-            rows=(1 << len(instances)) - 1,
+            rows=(1 << n) - 1,
             conditions={
-                (name, val): int.from_bytes(buf, "little")
-                for name, column in columns.items()
-                for val, buf in column.items()
+                (name, val): bits
+                for (name, domain), values in zip(schema.attributes, columns)
+                for val, bits in column_bits(values, domain).items()
             },
-            classes={c: int.from_bytes(buf, "little") for c, buf in labels.items()},
+            classes=column_bits(behaviors, sorted(schema.behavior_classes)),
         )
 
     def class_counts(self, rows: int) -> dict[str, int]:
@@ -170,47 +171,144 @@ class RowBits:
         return {label: hit.bit_count() for _, label, hit in present}
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of instances sharing one schema.
+def _first_miss(values, allowed) -> int:
+    """Index of the first value not in allowed, or len(values) if none."""
+    return next((i for i, v in enumerate(values) if v not in allowed), len(values))
 
-    Empty datasets are legal; every operation on them returns an
-    empty/zero result rather than an error.
+
+def _check_columns(schema: ContextSchema, columns, behaviors) -> None:
+    """Raise the SchemaViolation Instance.validate raises for the first bad row.
+
+    Each column is checked with one set containment; the rows are only
+    searched when a check fails.
+    """
+    if len(columns) != len(schema.attributes):
+        raise SchemaViolation(
+            "%d columns for %d attributes" % (len(columns), len(schema.attributes))
+        )
+    n = len(behaviors)
+    bad = n
+    for (name, domain), values in zip(schema.attributes, columns):
+        if len(values) > n:
+            raise SchemaViolation(
+                "column %r has %d values for %d rows" % (name, len(values), n)
+            )
+        allowed = frozenset(domain)
+        if len(values) < n or not allowed.issuperset(values):
+            bad = min(bad, _first_miss(values, allowed))
+    if not schema.behavior_classes.issuperset(behaviors):
+        bad = min(bad, _first_miss(behaviors, schema.behavior_classes))
+    if bad == n:
+        return
+    for (name, domain), values in zip(schema.attributes, columns):
+        if bad >= len(values):
+            raise SchemaViolation("instance missing attribute %r" % name)
+        if values[bad] not in domain:
+            raise SchemaViolation("value %r not in domain of %r" % (values[bad], name))
+    raise SchemaViolation("unknown behavior class %r" % behaviors[bad])
+
+
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """Ordered rows sharing one schema, stored as columns.
+
+    columns holds one tuple of values per schema attribute, in schema
+    order; behaviors holds the rows' labels. Empty datasets are legal;
+    every operation on them returns an empty/zero result rather than an
+    error.
     """
 
     schema: ContextSchema
-    instances: tuple[Instance, ...]
+    columns: tuple[tuple[str, ...], ...]
+    behaviors: tuple[str, ...]
+
+    def __init__(self, schema: ContextSchema, instances: Iterable[Instance]):
+        """Columns of instances, which are taken as valid (see create)."""
+        values = []
+        behaviors = []
+        for inst in instances:
+            values.append(inst.values)
+            behaviors.append(inst.behavior)
+        columns = tuple(tuple(v[name] for v in values) for name in schema.attribute_names)
+        self._fill(schema, columns, tuple(behaviors))
+
+    def _fill(self, schema, columns, behaviors) -> None:
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "behaviors", behaviors)
+
+    @classmethod
+    def _unchecked(cls, schema, columns, behaviors) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._fill(schema, columns, behaviors)
+        return ds
 
     @classmethod
     def create(cls, schema: ContextSchema, instances: Iterable[Instance]) -> "Dataset":
         """Validate every instance against the schema; derived datasets
         (subsets of an already-validated one) skip re-validation."""
-        ds = cls(schema, tuple(instances))
-        for inst in ds.instances:
-            inst.validate(schema)
+        instances = tuple(instances)
+        names = set(schema.attribute_names)
+        for k, inst in enumerate(instances):
+            if inst.values.keys() != names:
+                # a bad value or class in an earlier row is reported first
+                head = cls(schema, instances[:k])
+                _check_columns(schema, head.columns, head.behaviors)
+                inst.validate(schema)  # raises: inst lacks or adds an attribute
+        ds = cls(schema, instances)
+        _check_columns(schema, ds.columns, ds.behaviors)
         return ds
 
+    @classmethod
+    def from_columns(cls, schema: ContextSchema, columns, behaviors) -> "Dataset":
+        """Validate one sequence of values per attribute, in schema order,
+        and one of behavior labels, all of the same length."""
+        columns = tuple(map(tuple, columns))
+        behaviors = tuple(behaviors)
+        _check_columns(schema, columns, behaviors)
+        return cls._unchecked(schema, columns, behaviors)
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.behaviors)
+
+    @cached_property
+    def instances(self) -> tuple[Instance, ...]:
+        """One Instance per row, built on first use and then shared."""
+        names = self.schema.attribute_names
+        return tuple(
+            Instance(dict(zip(names, row)), row[-1])
+            for row in zip(*self.columns, self.behaviors)
+        )
 
     def subset(self, attr: str, val: str) -> "Dataset":
-        """Instances carrying values[attr] == val, original order, same schema."""
+        """Rows carrying attr == val, original order, same schema.
+
+        The subset's instances are the very objects of this dataset's.
+        """
         if val not in self.schema.domain(attr):  # also rejects unknown attr
             raise SchemaViolation("value %r not in domain of %r" % (val, attr))
-        kept = tuple(i for i in self.instances if i.values[attr] == val)
-        return Dataset(self.schema, kept)
+        column = self.columns[self.schema.attribute_names.index(attr)]
+        rows = [i for i, v in enumerate(column) if v == val]
+        sub = self._unchecked(
+            self.schema,
+            tuple(tuple(values[i] for i in rows) for values in self.columns),
+            tuple(self.behaviors[i] for i in rows),
+        )
+        instances = self.instances
+        sub.__dict__["instances"] = tuple(instances[i] for i in rows)
+        return sub
 
     @cached_property
     def bits(self) -> RowBits:
         """Row-id bitsets over this dataset, built on first use."""
-        return RowBits.encode(self.schema, self.instances)
+        return RowBits.encode(self.schema, self.columns, self.behaviors)
 
     def class_counts(self) -> dict[str, int]:
         """Instances per behavior class, in order of each class's first instance."""
         return self.bits.class_counts(self.bits.rows)
 
     def fingerprint(self) -> str:
-        return "%d:%s" % (len(self.instances), self.schema.fingerprint())
+        return "%d:%s" % (len(self), self.schema.fingerprint())
 
 
 @dataclass(frozen=True)

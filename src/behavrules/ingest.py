@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from .datamodel import ConfigError, ContextSchema, Dataset, Instance
+from .datamodel import ConfigError, ContextSchema, Dataset
 
 ACCEPT = "Accept"
 REJECT = "Reject"
@@ -196,8 +197,23 @@ class IngestSummary:
         return "\n".join(lines)
 
 
+_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
 def parse_timestamp(text: str) -> datetime:
-    return datetime.strptime(text.strip(), "%Y-%m-%d %H:%M:%S")
+    """Parse "%Y-%m-%d %H:%M:%S" exactly as datetime.strptime does.
+
+    The zero-padded form takes the faster datetime.fromisoformat; anything
+    else, and anything fromisoformat rejects, goes to strptime, so accepted
+    forms, values and error messages are strptime's.
+    """
+    text = text.strip()
+    if _CANONICAL_TIMESTAMP.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass
+    return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
 
 
 def load_log(
@@ -206,67 +222,68 @@ def load_log(
     seg: SegmentationConfig = SegmentationConfig(),
     strict: bool = False,
 ) -> tuple[Dataset, IngestSummary]:
-    """One instance per valid row; schema domains come from observed values.
+    """One row per valid record; schema domains come from observed values.
 
     Lenient mode counts and skips unparseable rows; strict mode aborts on
     the first one. Missing context cells become the "Unknown" value.
+    Skip reasons name the file line a record ends on. Kept rows go
+    straight into one list per attribute.
     """
     summary = IngestSummary()
-    rows: list[tuple[dict[str, str], str]] = []
+    times: list[str] = []
+    contexts: list[list[str]] = [[] for _ in mapping.context_cols]
+    behaviors: list[str] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=mapping.delimiter)
+        reader = csv.reader(fh, delimiter=mapping.delimiter)
         try:
-            header = reader.fieldnames or []
+            header = next(reader, [])
             needed = [mapping.timestamp_col, mapping.type_col, mapping.duration_col]
             needed.extend(mapping.context_cols)
             for col in needed:
                 if col not in header:
                     raise ConfigError("mapped column %r not in header %r" % (col, header))
-            last_col = header[-1]
-            for lineno, row in enumerate(reader, start=2):
+            index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+            ts_i = index[mapping.timestamp_col]
+            type_i = index[mapping.type_col]
+            duration_i = index[mapping.duration_col]
+            cells = list(zip(contexts, [index[col] for col in mapping.context_cols]))
+            width = len(header)
+            for row in reader:
+                if not row:  # blank line
+                    continue
                 summary.rows_read += 1
                 try:
-                    # DictReader fills the cells a short row lacks with None
-                    if row[last_col] is None:
+                    if len(row) < width:
                         raise IngestError("row has fewer cells than the header")
-                    ts = parse_timestamp(row[mapping.timestamp_col])
-                    duration = int(row[mapping.duration_col].strip())
-                    behavior = derive_behavior(row[mapping.type_col], duration)
+                    ts = parse_timestamp(row[ts_i])
+                    duration = int(row[duration_i].strip())
+                    behavior = derive_behavior(row[type_i], duration)
                 except (ValueError, IngestError) as exc:
+                    reason = "line %d: %s" % (reader.line_num, exc)
                     if strict:
-                        raise IngestError("line %d: %s" % (lineno, exc)) from exc
+                        raise IngestError(reason) from exc
                     summary.skipped += 1
-                    summary.skip_reasons.append("line %d: %s" % (lineno, exc))
+                    summary.skip_reasons.append(reason)
                     continue
                 label = segment_timestamp(ts, seg)
                 if label == UNSEGMENTED:
                     summary.unsegmented += 1
-                values = {TIME_ATTRIBUTE: label}
-                for col in mapping.context_cols:
-                    cell = (row.get(col) or "").strip()
-                    values[col] = cell if cell else UNKNOWN_VALUE
-                rows.append((values, behavior))
+                times.append(label)
+                behaviors.append(behavior)
+                for column, i in cells:
+                    column.append(row[i].strip() or UNKNOWN_VALUE)
         except UnicodeDecodeError as exc:
             raise IngestError("%s is not UTF-8 text: %s" % (path, exc)) from exc
         except csv.Error as exc:
             raise IngestError("%s line %d: %s" % (path, reader.line_num, exc)) from exc
 
-    attr_names = [TIME_ATTRIBUTE] + list(mapping.context_cols)
-    domains: dict[str, list[str]] = {name: [] for name in attr_names}
-    classes: list[str] = []
-    for values, behavior in rows:
-        for name in attr_names:
-            if values[name] not in domains[name]:
-                domains[name].append(values[name])
-        if behavior not in classes:
-            classes.append(behavior)
-    if not rows:
+    if not behaviors:
         raise IngestError("no loadable rows in %s" % path)
-
-    schema = ContextSchema.create(
-        [(name, domains[name]) for name in attr_names], classes
-    )
-    ds = Dataset.create(schema, (Instance(v, b) for v, b in rows))
+    attr_names = [TIME_ATTRIBUTE] + list(mapping.context_cols)
+    columns = [times] + contexts
+    domains = [dict.fromkeys(values) for values in columns]
+    schema = ContextSchema.create(zip(attr_names, domains), behaviors)
+    ds = Dataset.from_columns(schema, columns, behaviors)
     summary.loaded = len(ds)
-    summary.cardinalities = {name: len(domains[name]) for name in attr_names}
+    summary.cardinalities = {name: len(d) for name, d in zip(attr_names, domains)}
     return ds, summary

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 
-from .datamodel import ContextSchema, Dataset, Instance, Rule, SchemaViolation
+from .datamodel import ContextSchema, Dataset, Rule, SchemaViolation
 
 BEHAVIOR_COLUMN = "behavior"
 
@@ -15,10 +15,8 @@ def dataset_to_csv(ds: Dataset) -> str:
     """Canonical dataset file: context columns plus a trailing behavior column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    attrs = list(ds.schema.attribute_names)
-    writer.writerow(attrs + [BEHAVIOR_COLUMN])
-    for inst in ds.instances:
-        writer.writerow([inst.values[a] for a in attrs] + [inst.behavior])
+    writer.writerow(list(ds.schema.attribute_names) + [BEHAVIOR_COLUMN])
+    writer.writerows(zip(*ds.columns, ds.behaviors))
     return buf.getvalue()
 
 
@@ -32,31 +30,25 @@ def dataset_from_csv(text: str) -> Dataset:
     if BEHAVIOR_COLUMN not in header:
         raise SchemaViolation("dataset file lacks a %r column" % BEHAVIOR_COLUMN)
     behavior_idx = header.index(BEHAVIOR_COLUMN)
-    attrs = [c for i, c in enumerate(header) if i != behavior_idx]
-    rows = []
-    domains: dict[str, list[str]] = {a: [] for a in attrs}
-    classes: list[str] = []
+    # one list per file column, filled as rows arrive: keeping every row
+    # list for a transpose makes the cyclic GC rescan them all
+    columns: list[list[str]] = [[] for _ in header]
     for row in reader:
-        if not row:
-            continue
         if len(row) != len(header):
-            raise SchemaViolation("row has %d cells, expected %d" % (len(row), len(header)))
-        behavior = row[behavior_idx]
-        values = {}
-        for i, cell in enumerate(row):
-            if i == behavior_idx:
+            if not row:
                 continue
-            attr = attrs[i] if i < behavior_idx else attrs[i - 1]
-            values[attr] = cell
-            if cell not in domains[attr]:
-                domains[attr].append(cell)
-        if behavior not in classes:
-            classes.append(behavior)
-        rows.append((values, behavior))
-    if not rows:
+            raise SchemaViolation("row has %d cells, expected %d" % (len(row), len(header)))
+        for column, cell in zip(columns, row):
+            column.append(cell)
+    behaviors = columns.pop(behavior_idx)
+    if not behaviors:
         raise SchemaViolation("dataset file has no rows")
-    schema = ContextSchema.create([(a, domains[a]) for a in attrs], classes)
-    return Dataset.create(schema, (Instance(v, b) for v, b in rows))
+    attrs = [c for i, c in enumerate(header) if i != behavior_idx]
+    schema = ContextSchema.create(
+        [(a, dict.fromkeys(values)) for a, values in zip(attrs, columns)],
+        behaviors,
+    )
+    return Dataset.from_columns(schema, columns, behaviors)
 
 
 def rules_to_text(rules: list[Rule]) -> str:

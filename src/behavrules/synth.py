@@ -11,10 +11,13 @@ kept stable so identical arguments always reproduce the same dataset.
 from __future__ import annotations
 
 import csv
+import os
 import random
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 from .datamodel import Condition, ContextSchema, Dataset, Instance
@@ -163,30 +166,35 @@ def _timestamp_for(label: str) -> str:
     raise GenerationError("cannot place a timestamp inside segment %r" % label)
 
 
-def write_log(ds: Dataset, path: str, delimiter: str = ",") -> None:
+def write_log(ds: Dataset, out, delimiter: str = ",") -> None:
     """Write ds as a raw call log (timestamp/type/duration + context columns).
 
-    Behavior classes must be the four call classes so they survive the
-    round trip through behavior derivation. A "Time" attribute, when
-    present, is inverted to timestamps inside its segment; otherwise rows
-    get a fixed placeholder timestamp.
+    out is a file path, written with csv's default CRLF line ends, or an
+    open text stream, written with "\n" line ends. Behavior classes must
+    be the four call classes so they survive the round trip through
+    behavior derivation. A "Time" attribute, when present, is inverted to
+    timestamps inside its segment; otherwise rows get a fixed placeholder
+    timestamp.
     """
     unknown = set(ds.schema.behavior_classes) - set(BEHAVIOR_CLASSES)
     if unknown:
         raise GenerationError(
             "classes %r cannot be encoded as call records" % sorted(unknown)
         )
-    context_cols = [a for a in ds.schema.attribute_names if a != TIME_ATTRIBUTE]
-    has_time = TIME_ATTRIBUTE in ds.schema.attribute_names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["timestamp", "call_type", "duration"] + context_cols)
-        for inst in ds.instances:
-            if has_time:
-                ts = _timestamp_for(inst.values[TIME_ATTRIBUTE])
-            else:
-                ts = "2004-09-13 12:00:00"
-            call_type, duration = _BEHAVIOR_TO_CALL[inst.behavior]
-            writer.writerow(
-                [ts, call_type, duration] + [inst.values[c] for c in context_cols]
-            )
+    names = ds.schema.attribute_names
+    context_cols = [a for a in names if a != TIME_ATTRIBUTE]
+    context = [values for a, values in zip(names, ds.columns) if a != TIME_ATTRIBUTE]
+    if TIME_ATTRIBUTE in names:
+        labels = ds.columns[names.index(TIME_ATTRIBUTE)]
+        stamp = {label: _timestamp_for(label) for label in dict.fromkeys(labels)}
+        stamps = map(stamp.__getitem__, labels)
+    else:
+        stamps = repeat("2004-09-13 12:00:00")
+    calls = map(_BEHAVIOR_TO_CALL.__getitem__, ds.behaviors)
+    rows = ((ts, *call, *cells) for ts, call, *cells in zip(stamps, calls, *context))
+    header = ["timestamp", "call_type", "duration"] + context_cols
+    to_path = isinstance(out, (str, os.PathLike))
+    with open(out, "w", encoding="utf-8", newline="") if to_path else nullcontext(out) as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\r\n" if to_path else "\n")
+        writer.writerow(header)
+        writer.writerows(rows)

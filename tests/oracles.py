@@ -1,18 +1,41 @@
-"""Independent reference implementations used to check the miners.
+"""Independent reference implementations used to check the miners and loaders.
 
-Nothing here shares code with the package's mining paths: rules are found
-by exhaustive enumeration with direct counting, with no candidate pruning,
-and the reference tree and filter are the row-scanning and pairwise
-versions the package replaced.
+Nothing here shares code with the package's mining or loading paths:
+rules are found by exhaustive enumeration with direct counting, with no
+candidate pruning; the reference tree and filter are the row-scanning and
+pairwise versions the package replaced; and the reference loaders and
+encoder build one dict and one Instance per row, as the package did before
+datasets were stored as columns.
 """
 
+import csv
+import io
 import itertools
 import math
 import random
+from datetime import datetime
 from fractions import Fraction
 from functools import cmp_to_key
 
-from behavrules.datamodel import ContextSchema, Dataset, Instance, Rule
+from behavrules.datamodel import (
+    ConfigError,
+    ContextSchema,
+    Dataset,
+    Instance,
+    Rule,
+    RowBits,
+    SchemaViolation,
+)
+from behavrules.ingest import (
+    TIME_ATTRIBUTE,
+    UNKNOWN_VALUE,
+    UNSEGMENTED,
+    IngestError,
+    IngestSummary,
+    derive_behavior,
+    segment_timestamp,
+)
+from behavrules.serialize import BEHAVIOR_COLUMN
 
 GAIN_TOLERANCE = 1e-12
 
@@ -213,3 +236,130 @@ def example_tree():
 def rule_keys(rules):
     """Comparable identity tuples for a list of package Rule objects."""
     return {(r.antecedent, r.consequent, r.support, r.coverage) for r in rules}
+
+
+def reference_row_bits(schema, instances):
+    """RowBits set bit by bit from each Instance's values dict."""
+    last = len(instances) - 1
+    size = (len(instances) + 7) >> 3
+    columns = {
+        name: {val: bytearray(size) for val in domain}
+        for name, domain in schema.attributes
+    }
+    labels = {c: bytearray(size) for c in sorted(schema.behavior_classes)}
+    for i, inst in enumerate(instances):
+        j = last - i
+        byte, bit = j >> 3, 1 << (j & 7)
+        for name, column in columns.items():
+            column[inst.values[name]][byte] |= bit
+        labels[inst.behavior][byte] |= bit
+    return RowBits(
+        rows=(1 << len(instances)) - 1,
+        conditions={
+            (name, val): int.from_bytes(buf, "little")
+            for name, column in columns.items()
+            for val, buf in column.items()
+        },
+        classes={c: int.from_bytes(buf, "little") for c, buf in labels.items()},
+    )
+
+
+def _instances_dataset(attr_names, domains, classes, rows):
+    schema = ContextSchema.create([(name, domains[name]) for name in attr_names], classes)
+    instances = [Instance(values, behavior) for values, behavior in rows]
+    for inst in instances:
+        inst.validate(schema)
+    return schema, instances
+
+
+def reference_dataset_from_csv(text):
+    """(schema, instances) of a dataset file, read one dict per row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaViolation("dataset file is empty") from None
+    if BEHAVIOR_COLUMN not in header:
+        raise SchemaViolation("dataset file lacks a %r column" % BEHAVIOR_COLUMN)
+    behavior_idx = header.index(BEHAVIOR_COLUMN)
+    attrs = [c for i, c in enumerate(header) if i != behavior_idx]
+    rows = []
+    domains = {a: [] for a in attrs}
+    classes = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaViolation("row has %d cells, expected %d" % (len(row), len(header)))
+        behavior = row[behavior_idx]
+        values = {}
+        for i, cell in enumerate(row):
+            if i == behavior_idx:
+                continue
+            attr = attrs[i] if i < behavior_idx else attrs[i - 1]
+            values[attr] = cell
+            if cell not in domains[attr]:
+                domains[attr].append(cell)
+        if behavior not in classes:
+            classes.append(behavior)
+        rows.append((values, behavior))
+    if not rows:
+        raise SchemaViolation("dataset file has no rows")
+    return _instances_dataset(attrs, domains, classes, rows)
+
+
+def reference_load_log(path, mapping, seg, strict=False):
+    """(schema, instances, summary) of a call log read with csv.DictReader.
+
+    Skip reasons number the records from 2, which names the wrong file
+    line after a blank line or a cell that spans lines.
+    """
+    summary = IngestSummary()
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh, delimiter=mapping.delimiter)
+        header = reader.fieldnames or []
+        needed = [mapping.timestamp_col, mapping.type_col, mapping.duration_col]
+        needed.extend(mapping.context_cols)
+        for col in needed:
+            if col not in header:
+                raise ConfigError("mapped column %r not in header %r" % (col, header))
+        last_col = header[-1]
+        for lineno, row in enumerate(reader, start=2):
+            summary.rows_read += 1
+            try:
+                if row[last_col] is None:
+                    raise IngestError("row has fewer cells than the header")
+                stamp = row[mapping.timestamp_col].strip()
+                ts = datetime.strptime(stamp, "%Y-%m-%d %H:%M:%S")
+                duration = int(row[mapping.duration_col].strip())
+                behavior = derive_behavior(row[mapping.type_col], duration)
+            except (ValueError, IngestError) as exc:
+                if strict:
+                    raise IngestError("line %d: %s" % (lineno, exc)) from exc
+                summary.skipped += 1
+                summary.skip_reasons.append("line %d: %s" % (lineno, exc))
+                continue
+            label = segment_timestamp(ts, seg)
+            if label == UNSEGMENTED:
+                summary.unsegmented += 1
+            values = {TIME_ATTRIBUTE: label}
+            for col in mapping.context_cols:
+                cell = (row.get(col) or "").strip()
+                values[col] = cell if cell else UNKNOWN_VALUE
+            rows.append((values, behavior))
+    attr_names = [TIME_ATTRIBUTE] + list(mapping.context_cols)
+    domains = {name: [] for name in attr_names}
+    classes = []
+    for values, behavior in rows:
+        for name in attr_names:
+            if values[name] not in domains[name]:
+                domains[name].append(values[name])
+        if behavior not in classes:
+            classes.append(behavior)
+    if not rows:
+        raise IngestError("no loadable rows in %s" % path)
+    schema, instances = _instances_dataset(attr_names, domains, classes, rows)
+    summary.loaded = len(instances)
+    summary.cardinalities = {name: len(domains[name]) for name in attr_names}
+    return schema, instances, summary

@@ -149,6 +149,97 @@ class TestErrors:
         assert main(args + ["--strict"]) == 1
 
 
+class TestInputErrors:
+    @pytest.fixture
+    def inputs(self, tmp_path, demo_csv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(GEN_SPEC))
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        log = tmp_path / "log.csv"
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        return {"dataset": demo_csv, "spec": str(spec), "mapping": str(mapping),
+                "log": str(log), "folder": str(folder)}
+
+    ARGV = {
+        "dataset": ["mine-agt", "{folder}", "--min-conf", "80"],
+        "log": ["ingest", "{folder}", "--mapping", "{mapping}"],
+        "mapping": ["ingest", "{log}", "--mapping", "{folder}"],
+        "spec": ["gen", "--spec", "{folder}"],
+        "out": ["gen", "--spec", "{spec}", "--out", "{folder}"],
+        "dot": ["mine-agt", "{dataset}", "--min-conf", "80", "--dot", "{folder}"],
+    }
+
+    @pytest.mark.parametrize("which", list(ARGV))
+    def test_directory_for_a_file_exits_1_with_one_line(self, inputs, capsys, which):
+        capsys.readouterr()
+        argv = [arg.format(**inputs) for arg in self.ARGV[which]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+
+    def test_file_for_a_directory_exits_1_with_one_line(self, inputs, capsys):
+        capsys.readouterr()
+        out = inputs["log"] + "/dataset.csv"
+        assert main(["ingest", inputs["log"], "--mapping", inputs["mapping"], "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 20] Not a directory") and err.count("\n") == 1
+
+    def test_unreadable_file_exits_1_with_one_line(self, demo_csv, capsys, monkeypatch):
+        import builtins
+
+        real_open = builtins.open
+
+        def guarded_open(file, *args, **kwargs):
+            if file == demo_csv:
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        assert main(["rank", demo_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ([1, 2], "is not a JSON object"),
+            (dict(GEN_SPEC, n="many"), "spec n must be an integer, got 'many'"),
+            (dict(GEN_SPEC, seed=1.5), "spec seed must be an integer, got 1.5"),
+            ({k: v for k, v in GEN_SPEC.items() if k != "attributes"},
+             "spec lacks key 'attributes'"),
+        ],
+        ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key"],
+    )
+    def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["gen", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
+        from behavrules import cli
+
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._COMMANDS, "selftest", broken)
+        with pytest.raises(KeyError):
+            main(["selftest"])
+
+    def test_gen_to_stdout_matches_the_written_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(GEN_SPEC))
+        log = tmp_path / "log.csv"
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+        assert main(["gen", "--spec", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == log.read_bytes().replace(b"\r\n", b"\n")
+
+
 class TestPipeline:
     def test_gen_ingest_round_trip_fingerprint(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -177,6 +268,29 @@ class TestPipeline:
         )
         loaded = serialize.dataset_from_csv(dataset.read_text())
         assert loaded.fingerprint() == expected.fingerprint()
+
+    def test_load_and_mine_paths_build_no_instances(self, tmp_path, monkeypatch, capsys):
+        from behavrules.datamodel import Instance
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(GEN_SPEC))
+        log, dataset = tmp_path / "log.csv", tmp_path / "dataset.csv"
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("an Instance was built")
+
+        monkeypatch.setattr(Instance, "__init__", no_rows)
+        for argv in (
+            ["ingest", str(log), "--mapping", str(mapping), "--out", str(dataset)],
+            ["rank", str(dataset)],
+            ["mine-agt", str(dataset), "--min-conf", "80", "--dot", str(tmp_path / "t.dot")],
+            ["mine-apriori", str(dataset), "--min-conf", "80", "--filter-redundant"],
+            ["sweep", str(dataset), "--thresholds", "90", "70"],
+        ):
+            assert main(argv) == 0, argv
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

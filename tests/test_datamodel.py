@@ -57,6 +57,37 @@ class TestInstance:
             Dataset.create(demo_schema(), [inst])
 
 
+class TestColumns:
+    def test_columns_are_the_stored_form(self):
+        ds = demo_dataset()
+        assert ds.columns == tuple(
+            tuple(i.values[name] for i in ds.instances) for name in ds.schema.attribute_names
+        )
+        assert ds.behaviors == tuple(i.behavior for i in ds.instances)
+        assert Dataset.from_columns(ds.schema, ds.columns, ds.behaviors) == ds
+
+    def test_instances_view_is_built_once(self):
+        ds = Dataset.from_columns(demo_schema(), [["Lunch"], ["Boss"]], ["Accept"])
+        assert "instances" not in ds.__dict__
+        first = ds.instances
+        assert first == (Instance({"Activity": "Lunch", "Relation": "Boss"}, "Accept"),)
+        assert ds.instances is first
+
+    def test_equality_compares_columns_not_the_view(self):
+        a, b = demo_dataset(), demo_dataset()
+        a.instances  # build one view only
+        assert a == b and hash(a) == hash(b)
+        rotated = a.behaviors[1:] + a.behaviors[:1]
+        swapped = Dataset.from_columns(a.schema, a.columns, rotated)
+        assert rotated != a.behaviors
+        assert swapped != a
+
+    def test_attribute_names_are_computed_once(self):
+        schema = demo_schema()
+        assert schema.attribute_names == ("Activity", "Relation")
+        assert schema.attribute_names is schema.attribute_names
+
+
 class TestSubset:
     def test_lunch_subset_has_two_instances(self):
         sub = demo_dataset().subset("Activity", "Lunch")

@@ -1,6 +1,8 @@
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behavrules.datamodel import ConfigError
 from behavrules.ingest import (
@@ -10,6 +12,7 @@ from behavrules.ingest import (
     SegmentationConfig,
     derive_behavior,
     load_log,
+    parse_timestamp,
     segment_timestamp,
 )
 
@@ -52,6 +55,57 @@ class TestDeriveBehavior:
     def test_negative_duration_raises(self):
         with pytest.raises(IngestError):
             derive_behavior("incoming", -1)
+
+
+DIGIT_SETS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+              "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+
+
+def _field(width, top):
+    """A number up to top, zero-padded to width or not, in ASCII or other digits."""
+    return st.builds(
+        lambda value, padded, digits: (("%0*d" % (width, value)) if padded else str(value))
+        .translate(str.maketrans("0123456789", digits)),
+        st.integers(0, top), st.booleans(),
+        st.sampled_from(DIGIT_SETS[:1] * 6 + DIGIT_SETS[1:]),
+    )
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+class TestParseTimestamp:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.builds(
+            "{}{}-{}-{} {}:{}:{}{}".format,
+            st.sampled_from(["", " ", "\t"]),
+            _field(4, 10000), _field(2, 13), _field(2, 32),
+            _field(2, 25), _field(2, 61), _field(2, 61),
+            st.sampled_from(["", " ", "\n"]),
+        )
+    )
+    def test_same_result_or_message_as_strptime(self, text):
+        def reference(t):
+            return datetime.strptime(t.strip(), "%Y-%m-%d %H:%M:%S")
+
+        assert _outcome(parse_timestamp, text) == _outcome(reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "2004-00-14 08:00:00", "2004-13-14 08:00:00", "2004-02-30 08:00:00",
+        "2004-09-14 24:00:00", "2004-09-14 08:60:00", "2004-09-14 08:00:60",
+        "0000-09-14 08:00:00", "2004-9-14 8:0:0", "\uff12004-09-14 08:00:00",
+    ])
+    def test_edge_forms_match_strptime(self, text):
+        def reference(t):
+            return datetime.strptime(t.strip(), "%Y-%m-%d %H:%M:%S")
+
+        assert _outcome(parse_timestamp, text) == _outcome(reference, text)
 
 
 class TestSegmentation:

@@ -1,0 +1,269 @@
+"""The column-building loaders against the row-wise references in oracles.py.
+
+Both loaders must give the schema (domain order included), the instances,
+the ingest summary and the row bitsets that the one-dict-per-row loaders
+gave; skip reasons must name the file line each record ends on.
+"""
+
+import csv
+import io
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from behavrules.datamodel import (
+    ContextSchema,
+    Dataset,
+    Instance,
+    SchemaViolation,
+)
+from behavrules.ingest import ColumnMapping, IngestError, SegmentationConfig, load_log
+from behavrules.serialize import dataset_from_csv, dataset_to_csv
+
+from oracles import reference_dataset_from_csv, reference_load_log, reference_row_bits
+
+SETTINGS = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+# cells csv must quote: separators, quotes, line breaks and padding; an
+# empty cell (a schema error) now and then
+CELL = st.integers(0, 40).flatmap(
+    lambda k: st.just("") if k == 0 else st.text(alphabet="ab ,\"\n", min_size=1, max_size=4)
+)
+NAME = st.text(alphabet="abcXY ,\"", min_size=1, max_size=4)
+
+
+def _csv_text(rows, terminator, blank_after):
+    """rows written by csv.writer, with a blank line after the chosen rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=terminator)
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i in blank_after:
+            buf.write(terminator)
+    return buf.getvalue()
+
+
+def _assert_same_failure(got, expected):
+    assert type(got) is type(expected)
+    assert str(got) == str(expected)
+
+
+@st.composite
+def dataset_files(draw):
+    attrs = draw(st.lists(NAME, min_size=1, max_size=4))
+    header = attrs[:]
+    header.insert(draw(st.integers(0, len(attrs))), "behavior")
+    n = draw(st.integers(1, 12))
+    rows = [header]
+    for _ in range(n):
+        width = len(header) if draw(st.integers(0, 30)) else draw(st.integers(1, 6))
+        rows.append([draw(CELL) for _ in range(width)])
+    blank_after = set(draw(st.lists(st.integers(0, n), max_size=3)))
+    return _csv_text(rows, draw(st.sampled_from(["\n", "\r\n"])), blank_after)
+
+
+@SETTINGS
+@given(dataset_files())
+def test_dataset_from_csv_matches_row_wise_reference(text):
+    try:
+        schema, instances = reference_dataset_from_csv(text)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as got:
+            dataset_from_csv(text)
+        _assert_same_failure(got.value, exc)
+        return
+    ds = dataset_from_csv(text)
+    assert ds.schema == schema
+    assert ds.instances == tuple(instances)
+    assert ds.bits == reference_row_bits(schema, instances)
+    assert list(ds.bits.classes) == list(reference_row_bits(schema, instances).classes)
+    assert dataset_from_csv(dataset_to_csv(ds)) == ds
+
+
+STAMPS = st.one_of(
+    st.builds(
+        "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+        st.integers(2000, 2010), st.integers(1, 12), st.integers(1, 28),
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+    ),
+    st.sampled_from([
+        "2004-09-17 09:30:00", " 2004-09-13 23:59:59 ", "2004-9-14 8:0:0",
+        "2004-13-01 10:00:00", "2004-02-30 10:00:00", "2004-09-17 24:00:00",
+        "not-a-date", "",
+    ]),
+    st.builds(
+        "{:04d}-{:02d}-{:02d} {:02d}:{:02d}:{:02d}".format,
+        st.integers(2000, 2010), st.integers(0, 13), st.integers(0, 32),
+        st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+    ),
+)
+CALL_TYPES = st.sampled_from(["incoming", "missed", "outgoing", " Incoming", "videocall"])
+DURATIONS = st.sampled_from(["0", "42", " 7 ", "0", "42", "-1", "x", ""])
+CONTEXT = st.sampled_from(["Boss", "Friend", "", "  ", "a,b", 'say "hi"', "two\nlines", "Time"])
+
+
+@st.composite
+def call_logs(draw):
+    """(csv text, mapping, {record index: file line it ends on})."""
+    # a context column named Time clashes with the time attribute
+    context_cols = draw(st.lists(st.sampled_from(["rel", "act", "loc", "rel", "act", "Time"]),
+                                 min_size=1, max_size=3, unique=True))
+    header = ["timestamp", "call_type", "duration"] + context_cols
+    header += draw(st.lists(st.sampled_from(["extra", "rel", "timestamp"]), max_size=2))
+    header = draw(st.permutations(header))
+    mapping = ColumnMapping("timestamp", "call_type", "duration", tuple(context_cols),
+                            delimiter=draw(st.sampled_from([",", ";"])))
+    fill = {"timestamp": STAMPS, "call_type": CALL_TYPES, "duration": DURATIONS}
+    rows = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(fill.get(col, CONTEXT)) for col in header]
+        if not draw(st.integers(0, 8)):
+            row = row[:draw(st.integers(1, len(row)))]
+        elif not draw(st.integers(0, 8)):
+            row.append("surplus")
+        rows.append(row)
+    blank_after = set(draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=mapping.delimiter, lineterminator=terminator)
+    ends = []
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i:
+            ends.append(buf.getvalue().count("\n"))
+        if i in blank_after:
+            buf.write(terminator)
+    return buf.getvalue(), mapping, ends
+
+
+def _true_lines(message, ends):
+    """The reference's record numbers (records count from line 2) as file lines."""
+    return re.sub(r"line (\d+)", lambda m: "line %d" % ends[int(m.group(1)) - 2], message,
+                  count=1)
+
+
+@SETTINGS
+@given(log=call_logs(), strict=st.booleans(),
+       mode=st.sampled_from(["weekday-hour-bucket", "weekday-only"]))
+def test_load_log_matches_row_wise_reference(tmp_path, log, strict, mode):
+    text, mapping, ends = log
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    seg = SegmentationConfig(mode=mode)
+    try:
+        schema, instances, summary = reference_load_log(str(path), mapping, seg, strict)
+    except (ValueError, IngestError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_log(str(path), mapping, seg, strict)
+        assert str(got.value) == _true_lines(str(exc), ends)
+        return
+    ds, got = load_log(str(path), mapping, seg, strict)
+    assert ds.schema == schema
+    assert ds.instances == tuple(instances)
+    assert ds.bits == reference_row_bits(schema, instances)
+    for name in ("rows_read", "loaded", "skipped", "unsegmented", "cardinalities"):
+        assert getattr(got, name) == getattr(summary, name)
+    assert got.skip_reasons == [_true_lines(r, ends) for r in summary.skip_reasons]
+    if ends == list(range(2, len(ends) + 2)):  # one line per record, no blank lines
+        assert got.skip_reasons == summary.skip_reasons
+
+
+def test_skip_reasons_name_the_file_line(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "timestamp,call_type,duration,relation\n"  # line 1
+        "2004-09-17 09:30:00,incoming,42,Boss\n"
+        "\n"
+        "\n"
+        "not-a-date,incoming,42,Boss\n"  # line 5, the 2nd record
+        '2004-09-17 09:30:00,incoming,42,"Best\n'
+        'Friend"\n'  # the record on lines 6-7
+        "2004-09-17 09:30:00,videocall,42,Boss\n"  # line 8, the 4th record
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    ds, summary = load_log(str(path), mapping)
+    assert summary.skip_reasons == [
+        "line 5: time data 'not-a-date' does not match format '%Y-%m-%d %H:%M:%S'",
+        "line 8: unknown call type 'videocall'",
+    ]
+    assert [i.values["relation"] for i in ds.instances] == ["Boss", "Best\nFriend"]
+    with pytest.raises(IngestError, match="^line 5: "):
+        load_log(str(path), mapping, strict=True)
+
+
+def test_last_duplicate_header_wins(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "relation,timestamp,call_type,duration,relation\n"
+        "first,2004-09-17 09:30:00,incoming,42,second\n"
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    ds, _ = load_log(str(path), mapping)
+    assert ds.columns[1] == ("second",)
+
+
+SCHEMA = ContextSchema.create([("A", ["x", "y"]), ("B", ["u"])], ["c", "d"])
+
+
+def _validate_message(instance):
+    with pytest.raises(SchemaViolation) as exc:
+        instance.validate(SCHEMA)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "columns,behaviors,first_bad",
+    [
+        ((("x", "y", "z"), ("u", "u", "u")), ("c", "d", "c"), 2),
+        ((("x", "y"), ("u", "w")), ("c", "d"), 1),
+        ((("x", "y"), ("u", "u")), ("c", "e"), 1),
+        # row 1 lacks B; row 2's unknown class comes later
+        ((("x", "y", "y"), ("u",)), ("c", "d", "e"), 1),
+        # the first bad row decides, whatever the column order
+        ((("x", "x", "q"), ("u", "w", "u")), ("c", "c", "c"), 1),
+    ],
+    ids=["unknown-value", "unknown-value-2nd-column", "unknown-class", "ragged", "first-row"],
+)
+def test_from_columns_rejects_with_validate_message(columns, behaviors, first_bad):
+    names = SCHEMA.attribute_names
+    row = {name: col[first_bad] for name, col in zip(names, columns) if first_bad < len(col)}
+    with pytest.raises(SchemaViolation) as exc:
+        Dataset.from_columns(SCHEMA, columns, behaviors)
+    assert str(exc.value) == _validate_message(Instance(row, behaviors[first_bad]))
+
+
+def test_from_columns_rejects_wrong_shapes():
+    with pytest.raises(SchemaViolation, match="1 columns for 2 attributes"):
+        Dataset.from_columns(SCHEMA, [("x",)], ("c",))
+    with pytest.raises(SchemaViolation, match="column 'B' has 2 values for 1 rows"):
+        Dataset.from_columns(SCHEMA, [("x",), ("u", "u")], ("c",))
+
+
+def test_create_reports_the_first_bad_instance():
+    rows = [
+        Instance({"A": "x", "B": "u"}, "c"),
+        Instance({"A": "z", "B": "u"}, "c"),  # first bad row: unknown value
+        Instance({"A": "x"}, "c"),  # lacks B
+    ]
+    with pytest.raises(SchemaViolation, match="^value 'z' not in domain of 'A'$"):
+        Dataset.create(SCHEMA, rows)
+    with pytest.raises(SchemaViolation, match="^instance missing attribute 'B'$"):
+        Dataset.create(SCHEMA, [rows[0], rows[2], rows[1]])
+
+
+def test_high_cardinality_attribute_round_trips():
+    values = ["v%03d" % i for i in range(300)]
+    schema = ContextSchema.create([("Wide", values), ("Flag", ["on", "off"])], ["c", "d"])
+    rows = [Instance({"Wide": values[(7 * i) % 300], "Flag": ("on", "off")[i % 2]},
+                     "cd"[i % 3 == 0]) for i in range(900)]
+    text = dataset_to_csv(Dataset.create(schema, rows))
+    back = dataset_from_csv(text)  # domains now in first-observation order
+    assert dataset_to_csv(back) == text
+    assert back.instances == tuple(rows)
+    assert back.bits == reference_row_bits(schema, rows)
+    assert all(bits.bit_count() == 3 for (name, _), bits in back.bits.conditions.items()
+               if name == "Wide")

@@ -150,3 +150,14 @@ class TestWriteLog:
         ds = Dataset.create(schema, [Instance({"A": "x"}, "Snoozed")])
         with pytest.raises(GenerationError):
             write_log(ds, str(tmp_path / "log.csv"))
+
+    def test_stream_gets_the_file_rows_with_newline_ends(self, tmp_path):
+        import io
+
+        ds = generate(SCHEMA, [MEETING_REJECT], 300, seed=17)
+        path = tmp_path / "log.csv"
+        write_log(ds, path)  # a PathLike works as well as a str
+        stream = io.StringIO()
+        write_log(ds, stream)
+        assert stream.getvalue().encode() == path.read_bytes().replace(b"\r\n", b"\n")
+        assert "instances" not in ds.__dict__  # written from the columns
