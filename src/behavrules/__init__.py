@@ -12,8 +12,21 @@ from .datamodel import (
     rule_stats,
 )
 from .precedence import PrecedenceRanking, entropy, information_gain, rank_contexts
-from .agt import AgtNode, MiningConfig, build_tree, extract_rules, tree_to_dot
-from .apriori import FrequentItemset, filter_redundant, generate_cars, mine_frequent
+from .agt import (
+    AgtNode,
+    MiningConfig,
+    build_tree,
+    extract_rules,
+    mark_redundant,
+    tree_to_dot,
+)
+from .apriori import (
+    FrequentItemset,
+    filter_redundant,
+    generate_cars,
+    mine_frequent,
+    shadows,
+)
 from .ingest import (
     ColumnMapping,
     IngestError,
@@ -54,11 +67,13 @@ __all__ = [
     "generate_cars",
     "information_gain",
     "load_log",
+    "mark_redundant",
     "mine_frequent",
     "parse_threshold",
     "rank_contexts",
     "rule_stats",
     "segment_timestamp",
+    "shadows",
     "sweep",
     "tree_to_dot",
 ]

@@ -1,10 +1,15 @@
-"""Association generation tree: build, mark redundant nodes, extract rules.
+"""Association generation tree: grow, mark redundant nodes, extract rules.
 
 The tree is grown top-down. Each node carries the dominant behavior class
-of its instance subset and an exact-rational confidence. A child whose
-dominant class equals its parent's is marked REDUNDANT when both
+of its instance subset and an exact-rational confidence. Growth does not
+depend on the confidence threshold: a node is a leaf when it is pure or
+its contexts are exhausted. The threshold only decides the REDUNDANT
+marks (mark_redundant) and which rules are extracted, so one grown tree
+can be re-marked and re-extracted at any number of thresholds. A child
+whose dominant class equals its parent's is REDUNDANT when both
 confidences meet the threshold; redundant nodes emit no rule but their
 subtrees are still explored, so a deviating grandchild can surface.
+Threshold tests are exact integer cross-multiplications.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .datamodel import (
     Dataset,
     EmptyDatasetError,
     Rule,
+    threshold_terms,
 )
 from .precedence import rank_contexts, rank_splits, split
 
@@ -71,8 +77,8 @@ def _dominant(counts: dict[str, int]) -> str:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
-    """Grow the tree over ds; node ids follow depth-first creation order."""
+def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
+    """Grow the threshold-free tree over ds; every node's redundant is False."""
     if len(ds) == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     contexts = list(ds.schema.attribute_names)
@@ -80,16 +86,15 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
         raise ConfigError("schema has no context attributes")
 
     global_order: Optional[tuple[str, ...]] = None
-    if cfg.global_ranking:
+    if global_ranking:
         global_order = rank_contexts(ds, contexts).attributes
 
     bits = ds.bits
-    t = cfg.confidence_threshold
     next_id = 1
 
     # rows is the bitset of this node's instances (see Dataset.bits) and
     # counts their class counts, which the parent's split already took
-    def grow(rows: int, counts, branch, remaining, ancestors) -> AgtNode:
+    def grow(rows: int, counts, branch, remaining) -> AgtNode:
         nonlocal next_id
         dominant = _dominant(counts)
         node = AgtNode(
@@ -101,18 +106,7 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
         )
         next_id += 1
 
-        if ancestors and node.confidence >= t:
-            compare_to = [ancestors[-1]]
-            if cfg.strict_redundancy:
-                qualifying = [a for a in ancestors if a.confidence >= t]
-                if qualifying:
-                    compare_to.append(qualifying[-1])
-            for anc in compare_to:
-                if anc.confidence >= t and anc.dominant_behavior == dominant:
-                    node.redundant = True
-                    break
-
-        if node.confidence == 1 or not remaining:
+        if node.support == node.size or not remaining:
             return node  # pure node or exhausted contexts: leaf
 
         if global_order is not None:
@@ -123,12 +117,45 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
         rest = [a for a in remaining if a != best.attr]
         for val, child_counts in best.children:
             child = rows & bits.conditions[best.attr, val]
-            node.children.append(
-                grow(child, child_counts, (best.attr, val), rest, ancestors + [node])
-            )
+            node.children.append(grow(child, child_counts, (best.attr, val), rest))
         return node
 
-    return grow(bits.rows, bits.class_counts(bits.rows), None, contexts, [])
+    return grow(bits.rows, bits.class_counts(bits.rows), None, contexts)
+
+
+def mark_redundant(root: AgtNode, cfg: MiningConfig) -> None:
+    """Rewrite every node's REDUNDANT flag for cfg's threshold, in one walk.
+
+    A node is REDUNDANT when its confidence and its parent's both meet the
+    threshold and both have the same dominant class. In strict mode the
+    nearest ancestor meeting the threshold is compared as well, even when
+    the parent misses it. The root is never REDUNDANT.
+    """
+    num, den = threshold_terms(cfg.confidence_threshold)
+    strict = cfg.strict_redundancy
+
+    # anchor: the ancestor a qualifying node is compared against, or None
+    def mark(node: AgtNode, anchor: Optional[AgtNode]) -> None:
+        meets = node.support * den >= num * node.size
+        node.redundant = (
+            meets and anchor is not None
+            and anchor.dominant_behavior == node.dominant_behavior
+        )
+        if meets:
+            anchor = node
+        elif not strict:
+            anchor = None
+        for child in node.children:
+            mark(child, anchor)
+
+    mark(root, None)
+
+
+def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
+    """Grow the tree over ds and mark it for cfg; node ids follow depth-first creation order."""
+    root = _grow(ds, cfg.global_ranking)
+    mark_redundant(root, cfg)
+    return root
 
 
 def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
@@ -138,6 +165,7 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     support meets min_support, it is not REDUNDANT, and its class passes
     the optional filter. Descendants of redundant nodes are still visited.
     """
+    num, den = threshold_terms(cfg.confidence_threshold)
     found: list[tuple[int, Rule]] = []
 
     def visit(node: AgtNode, path: tuple[Condition, ...]):
@@ -145,7 +173,7 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
             path = path + (node.branch,)
             if (
                 not node.redundant
-                and node.confidence >= cfg.confidence_threshold
+                and node.support * den >= num * node.size
                 and node.support >= cfg.min_support
                 and (cfg.class_filter is None or node.dominant_behavior in cfg.class_filter)
             ):
@@ -162,11 +190,6 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     visit(root, ())
     found.sort(key=lambda pair: pair[0])
     return [rule for _, rule in found]
-
-
-def mine(ds: Dataset, cfg: MiningConfig) -> list[Rule]:
-    """Convenience wrapper: build the tree and extract its rules."""
-    return extract_rules(build_tree(ds, cfg), cfg)
 
 
 def tree_to_dot(root: AgtNode) -> str:

@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import and_
+from typing import Optional
 
-from .datamodel import Condition, ConfigError, Dataset, Rule
+from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,15 @@ def generate_cars(
     ordered = sorted(
         frequent, key=lambda fi: (len(fi.items), tuple(sorted(fi.items)))
     )
+    num, den = threshold_terms(threshold)
     bits = ds.bits
     rules: list[Rule] = []
     for fi in ordered:
         rows = reduce(and_, (bits.conditions[c] for c in fi.items), bits.rows)
+        floor = num * fi.support  # support/coverage >= t is support*den >= floor
         for cls, cls_rows in bits.classes.items():  # sorted labels
             support = (rows & cls_rows).bit_count()
-            if support >= min_support and Fraction(support, fi.support) >= threshold:
+            if support >= min_support and support * den >= floor:
                 rules.append(Rule(fi.items, cls, support, fi.support))
     return rules
 
@@ -104,23 +107,41 @@ def mine(ds: Dataset, threshold: Fraction, min_support: int = 1) -> list[Rule]:
     return generate_cars(ds, mine_frequent(ds, min_support), threshold, min_support)
 
 
+def shadows(rules: list[Rule]) -> list[Optional[tuple[int, int]]]:
+    """Each rule's shadow: the best rule it strictly extends with its consequent.
+
+    The shadow is the (support, coverage) of the highest-confidence rule in
+    rules whose antecedent is a proper subset of the rule's own (the empty
+    one included) and whose consequent is the same, or None when there is
+    none. Among rules that meet a threshold t, a rule is redundant exactly
+    when its shadow's confidence meets t as well. Each rule looks up its
+    proper antecedent subsets instead of scanning every other rule.
+    """
+    best: dict[tuple[str, frozenset[Condition]], tuple[int, int]] = {}
+    for rule in rules:
+        key = (rule.consequent, rule.antecedent)
+        held = best.get(key)
+        if held is None or rule.support * held[1] > held[0] * rule.coverage:
+            best[key] = (rule.support, rule.coverage)
+    out: list[Optional[tuple[int, int]]] = []
+    for rule in rules:
+        items = tuple(rule.antecedent)
+        shadow = None
+        for k in range(len(items)):
+            for sub in combinations(items, k):
+                found = best.get((rule.consequent, frozenset(sub)))
+                if found is not None and (
+                    shadow is None or found[0] * shadow[1] > shadow[0] * found[1]
+                ):
+                    shadow = found
+        out.append(shadow)
+    return out
+
+
 def filter_redundant(rules: list[Rule]) -> list[Rule]:
     """Drop every rule that strictly extends another rule with the same consequent.
 
-    Input is assumed threshold-valid already; only minimal-antecedent rules
-    survive, in their original order. Each rule looks up its proper
-    antecedent subsets (the empty one included) instead of scanning every
-    other rule.
+    Input is assumed threshold-valid already; only minimal-antecedent rules,
+    those without a shadow (see shadows), survive, in their original order.
     """
-    present = {(rule.consequent, rule.antecedent) for rule in rules}
-    kept = []
-    for rule in rules:
-        items = tuple(rule.antecedent)
-        shadowed = any(
-            (rule.consequent, frozenset(sub)) in present
-            for k in range(len(items))
-            for sub in combinations(items, k)
-        )
-        if not shadowed:
-            kept.append(rule)
-    return kept
+    return [rule for rule, shadow in zip(rules, shadows(rules)) if shadow is None]

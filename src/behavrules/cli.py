@@ -263,8 +263,15 @@ def _cmd_selftest(args) -> int:
     ranking = precedence.rank_contexts(demo, ["Activity", "Relation"])
     check("demo ranking puts Relation first", ranking.attributes == ("Relation", "Activity"))
 
-    agt_rules = agt.mine(demo, agt.MiningConfig(Fraction(3, 4)))
+    cfg = agt.MiningConfig(Fraction(3, 4))
+    agt_rules = agt.extract_rules(agt.build_tree(demo, cfg), cfg)
     check("tree miner finds 3 rules on the demo dataset", len(agt_rules) == 3)
+    regrown = agt.build_tree(demo, agt.MiningConfig(Fraction(1)))
+    agt.mark_redundant(regrown, cfg)
+    check(
+        "a tree re-marked at 3/4 gives the same rules",
+        agt.extract_rules(regrown, cfg) == agt_rules,
+    )
     base = apriori.mine(demo, Fraction(3, 4))
     check("baseline finds 7 rules on the demo dataset", len(base) == 7)
     check(

@@ -333,6 +333,16 @@ class RuleStats:
         return Fraction(self.support, self.coverage)
 
 
+def threshold_terms(threshold) -> tuple[int, int]:
+    """(num, den) of an exact threshold t, den > 0.
+
+    support/coverage >= t exactly when support * den >= num * coverage, so
+    hot loops test thresholds with integers and build no Fraction.
+    """
+    t = Fraction(threshold)
+    return t.numerator, t.denominator
+
+
 def rule_stats(ds: Dataset, antecedent: Iterable[Condition], consequent: str) -> RuleStats:
     """Count antecedent matches and antecedent-plus-consequent matches."""
     conditions = list(antecedent)

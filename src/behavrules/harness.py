@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import agt, apriori
-from .datamodel import ConfigError, Dataset
+from .datamodel import ConfigError, Dataset, threshold_terms
 
 DEFAULT_THRESHOLDS = tuple(
     Fraction(p, 100) for p in (100, 95, 90, 85, 80, 75, 70, 65, 60)
@@ -59,7 +59,7 @@ def sweep(
     thresholds: Sequence[Fraction] = DEFAULT_THRESHOLDS,
     min_support: int = 1,
 ) -> SweepReport:
-    """Run both miners once per threshold; a failing threshold records its reason."""
+    """Count both miners' rules at each threshold; a failing threshold records its reason."""
     thresholds = list(thresholds)
     if len(set(thresholds)) != len(thresholds):
         raise ConfigError("duplicate thresholds in sweep")
@@ -70,27 +70,45 @@ def sweep(
             raise ConfigError("thresholds must be strictly increasing or decreasing")
 
     # the baseline rule space is complete, so rules at any threshold are
-    # the confidence-filtered rules of the lowest one; mine it once
-    all_rules = None
+    # the confidence-filtered rules of the lowest one: mine it once. Among
+    # those, a rule is redundant at t exactly when its shadow meets t.
+    counts = []
     baseline_error = None
     if thresholds:
         try:
-            all_rules = apriori.mine(ds, min(thresholds), min_support)
+            cars = apriori.mine(ds, min(thresholds), min_support)
         except (ValueError, ArithmeticError) as exc:
             baseline_error = exc
+        else:
+            shadows = apriori.shadows(cars)
+            for t in thresholds:
+                num, den = threshold_terms(t)
+                base = kept = 0
+                for rule, shadow in zip(cars, shadows):
+                    if rule.support * den >= num * rule.coverage:
+                        base += 1
+                        if shadow is None or shadow[0] * den < num * shadow[1]:
+                            kept += 1
+                counts.append((base, kept))
+            del cars, shadows  # not held while the tree grows
 
+    # the tree's shape does not depend on the threshold: grow it once and
+    # re-mark it for each threshold
+    root = None
     rows = []
-    for t in thresholds:
+    for i, t in enumerate(thresholds):
         try:
             if baseline_error is not None:
                 raise baseline_error
-            base = [r for r in all_rules if r.confidence >= t]
-            kept = apriori.filter_redundant(base)
-            removed_ratio = (
-                Fraction(len(base) - len(kept), len(base)) if base else Fraction(0)
-            )
-            agt_rules = agt.mine(ds, agt.MiningConfig(t, min_support))
-            rows.append(SweepRow(t, len(base), len(agt_rules), removed_ratio))
+            base, kept = counts[i]
+            removed_ratio = Fraction(base - kept, base) if base else Fraction(0)
+            cfg = agt.MiningConfig(t, min_support)
+            if root is None:
+                root = agt.build_tree(ds, cfg)
+            else:
+                agt.mark_redundant(root, cfg)
+            agt_rules = agt.extract_rules(root, cfg)
+            rows.append(SweepRow(t, base, len(agt_rules), removed_ratio))
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(t, None, None, None, error=str(exc)))
     return SweepReport(ds.fingerprint(), min_support, tuple(rows))

@@ -66,6 +66,10 @@ class SegmentationConfig:
     mode: str = "weekday-hour-bucket"  # or "weekday-only" / "custom-boundaries"
     bucket_hours: int = 2
     segments: tuple[CustomSegment, ...] = ()
+    # (day, start minute, end minute, label) of each custom segment, parsed once
+    bounds: tuple[tuple[str, int, int, str], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self):
         if self.mode not in ("weekday-hour-bucket", "weekday-only", "custom-boundaries"):
@@ -78,17 +82,18 @@ class SegmentationConfig:
         if self.mode == "custom-boundaries":
             if not self.segments:
                 raise ConfigError("custom-boundaries mode needs segments")
-            by_day: dict[str, list[tuple[int, int]]] = {}
+            bounds: list[tuple[str, int, int, str]] = []
             for seg in self.segments:
                 if seg.day not in DAY_NAMES:
                     raise ConfigError("unknown day %r" % seg.day)
-                span = (_minutes(seg.start), _minutes(seg.end))
-                if span[0] >= span[1]:
+                start, end = _minutes(seg.start), _minutes(seg.end)
+                if start >= end:
                     raise ConfigError("segment %s is empty" % seg.name())
-                for other in by_day.setdefault(seg.day, []):
-                    if span[0] < other[1] and other[0] < span[1]:
+                for day, lo, hi, _ in bounds:
+                    if day == seg.day and start < hi and lo < end:
                         raise ConfigError("overlapping segments on %s" % seg.day)
-                by_day[seg.day].append(span)
+                bounds.append((seg.day, start, end, seg.name()))
+            object.__setattr__(self, "bounds", tuple(bounds))
 
     def labels(self) -> list[str]:
         """All labels this config can produce (minus "Unsegmented")."""
@@ -125,9 +130,9 @@ def segment_timestamp(ts: datetime, cfg: SegmentationConfig) -> str:
         start = (ts.hour // cfg.bucket_hours) * cfg.bucket_hours
         return "%s[%02d:00-%02d:00]" % (day, start, start + cfg.bucket_hours)
     minute = ts.hour * 60 + ts.minute
-    for seg in cfg.segments:
-        if seg.day == day and _minutes(seg.start) <= minute < _minutes(seg.end):
-            return seg.name()
+    for seg_day, start, end, label in cfg.bounds:
+        if seg_day == day and start <= minute < end:
+            return label
     return UNSEGMENTED
 
 
@@ -230,6 +235,10 @@ def load_log(
     straight into one list per attribute.
     """
     summary = IngestSummary()
+    # a label depends only on the weekday and hour, and on the minute in
+    # custom mode, so each is formatted once
+    labels: dict[tuple[int, ...], str] = {}
+    by_minute = seg.mode == "custom-boundaries"
     times: list[str] = []
     contexts: list[list[str]] = [[] for _ in mapping.context_cols]
     behaviors: list[str] = []
@@ -265,7 +274,13 @@ def load_log(
                     summary.skipped += 1
                     summary.skip_reasons.append(reason)
                     continue
-                label = segment_timestamp(ts, seg)
+                if by_minute:
+                    key = (ts.weekday(), ts.hour, ts.minute)
+                else:
+                    key = (ts.weekday(), ts.hour)
+                label = labels.get(key)
+                if label is None:
+                    label = labels[key] = segment_timestamp(ts, seg)
                 if label == UNSEGMENTED:
                     summary.unsegmented += 1
                 times.append(label)

@@ -99,7 +99,6 @@ class PrecedenceRanking:
     """Attributes ordered by information gain, highest precedence first."""
 
     entries: tuple[tuple[str, float], ...]
-    computed_over: str  # dataset fingerprint
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -117,4 +116,4 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
     splits = rank_splits(ds, ds.bits.rows, ds.class_counts(), candidates)
-    return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits), ds.fingerprint())
+    return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits))

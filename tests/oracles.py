@@ -1,11 +1,13 @@
 """Independent reference implementations used to check the miners and loaders.
 
-Nothing here shares code with the package's mining or loading paths:
-rules are found by exhaustive enumeration with direct counting, with no
+Rules are found by exhaustive enumeration with direct counting, with no
 candidate pruning; the reference tree and filter are the row-scanning and
 pairwise versions the package replaced; and the reference loaders and
 encoder build one dict and one Instance per row, as the package did before
-datasets were stored as columns.
+datasets were stored as columns. None of these shares code with the
+package's mining or loading paths. The one exception is the reference
+sweep: it calls the package's miners afresh for every threshold, as the
+sweep did before it grew one tree and ran one redundancy pass for all.
 """
 
 import csv
@@ -27,13 +29,13 @@ from behavrules.datamodel import (
     SchemaViolation,
 )
 from behavrules.ingest import (
+    DAY_NAMES,
     TIME_ATTRIBUTE,
     UNKNOWN_VALUE,
     UNSEGMENTED,
     IngestError,
     IngestSummary,
     derive_behavior,
-    segment_timestamp,
 )
 from behavrules.serialize import BEHAVIOR_COLUMN
 
@@ -91,6 +93,39 @@ def reference_filter_redundant(rules):
         if not shadowed:
             kept.append(rule)
     return kept
+
+
+def reference_sweep(ds, thresholds, min_support=1):
+    """harness.sweep as one independent run per threshold.
+
+    The baseline rules are mined once at the lowest threshold, then each
+    threshold filters them by confidence and runs the pairwise redundancy
+    filter, and grows and extracts a fresh tree.
+    """
+    from behavrules import agt, apriori
+    from behavrules.harness import SweepReport, SweepRow
+
+    all_rules = None
+    baseline_error = None
+    if thresholds:
+        try:
+            all_rules = apriori.mine(ds, min(thresholds), min_support)
+        except (ValueError, ArithmeticError) as exc:
+            baseline_error = exc
+    rows = []
+    for t in thresholds:
+        try:
+            if baseline_error is not None:
+                raise baseline_error
+            base = [r for r in all_rules if r.confidence >= t]
+            kept = reference_filter_redundant(base)
+            removed = Fraction(len(base) - len(kept), len(base)) if base else Fraction(0)
+            cfg = agt.MiningConfig(t, min_support)
+            agt_rules = agt.extract_rules(agt.build_tree(ds, cfg), cfg)
+            rows.append(SweepRow(t, len(base), len(agt_rules), removed))
+        except (ValueError, ArithmeticError) as exc:
+            rows.append(SweepRow(t, None, None, None, error=str(exc)))
+    return SweepReport(ds.fingerprint(), min_support, tuple(rows))
 
 
 def _class_counts(instances):
@@ -308,6 +343,22 @@ def reference_dataset_from_csv(text):
     return _instances_dataset(attrs, domains, classes, rows)
 
 
+def reference_segment_timestamp(ts, cfg):
+    """The time-segment label of ts, parsing custom "hh:mm" bounds on every call."""
+    day = DAY_NAMES[ts.weekday()]
+    if cfg.mode == "weekday-only":
+        return day
+    if cfg.mode == "weekday-hour-bucket":
+        start = (ts.hour // cfg.bucket_hours) * cfg.bucket_hours
+        return "%s[%02d:00-%02d:00]" % (day, start, start + cfg.bucket_hours)
+    minute = ts.hour * 60 + ts.minute
+    for seg in cfg.segments:
+        lo, hi = (int(b[:-3]) * 60 + int(b[-2:]) for b in (seg.start, seg.end))
+        if seg.day == day and lo <= minute < hi:
+            return seg.name()
+    return UNSEGMENTED
+
+
 def reference_load_log(path, mapping, seg, strict=False):
     """(schema, instances, summary) of a call log read with csv.DictReader.
 
@@ -340,7 +391,7 @@ def reference_load_log(path, mapping, seg, strict=False):
                 summary.skipped += 1
                 summary.skip_reasons.append("line %d: %s" % (lineno, exc))
                 continue
-            label = segment_timestamp(ts, seg)
+            label = reference_segment_timestamp(ts, seg)
             if label == UNSEGMENTED:
                 summary.unsegmented += 1
             values = {TIME_ATTRIBUTE: label}

@@ -79,7 +79,8 @@ def test_criterion_3_apriori_brute_force_equivalence():
 def test_criterion_4_agt_subset_of_apriori():
     for ds in _corpus():
         for t in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
-            agt_rules = rule_keys(agt.mine(ds, MiningConfig(t)))
+            cfg = MiningConfig(t)
+            agt_rules = rule_keys(agt.extract_rules(agt.build_tree(ds, cfg), cfg))
             base = rule_keys(apriori.mine(ds, t, 1))
             assert agt_rules <= base, "tree rule missing from baseline output"
     _report("4: tree rules subset of baseline")
@@ -90,7 +91,8 @@ def test_criterion_5_non_redundancy_guarantee():
     # a shared consequent would be exactly a redundant parent/child edge
     for ds in _corpus():
         for t in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
-            rules = agt.mine(ds, MiningConfig(t))
+            cfg = MiningConfig(t)
+            rules = agt.extract_rules(agt.build_tree(ds, cfg), cfg)
             emitted = {(r.antecedent, r.consequent) for r in rules}
             for rule in rules:
                 for condition in rule.antecedent:

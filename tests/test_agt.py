@@ -8,7 +8,6 @@ from behavrules.agt import (
     MiningConfig,
     build_tree,
     extract_rules,
-    mine,
     tree_to_dot,
 )
 from behavrules.datamodel import (
@@ -24,6 +23,10 @@ from oracles import example_tree, random_dataset, rule_keys
 
 T75 = MiningConfig(Fraction(3, 4))
 T100 = MiningConfig(Fraction(1))
+
+
+def _mine(ds, cfg):
+    return extract_rules(build_tree(ds, cfg), cfg)
 
 
 def _rule_set(rules):
@@ -103,14 +106,14 @@ class TestBuildTree:
 
 class TestExtractRules:
     def test_demo_rules_at_75(self):
-        assert _rule_set(mine(demo_dataset(), T75)) == {
+        assert _rule_set(_mine(demo_dataset(), T75)) == {
             ((("Relation", "Boss"),), "Accept", 3, 3),
             ((("Relation", "Friend"),), "Reject", 4, 5),
             ((("Activity", "Lunch"), ("Relation", "Friend")), "Accept", 1, 1),
         }
 
     def test_demo_rules_at_100(self):
-        assert _rule_set(mine(demo_dataset(), T100)) == {
+        assert _rule_set(_mine(demo_dataset(), T100)) == {
             ((("Relation", "Boss"),), "Accept", 3, 3),
             ((("Activity", "Meeting"), ("Relation", "Friend")), "Reject", 4, 4),
             ((("Activity", "Lunch"), ("Relation", "Friend")), "Accept", 1, 1),
@@ -129,12 +132,12 @@ class TestExtractRules:
 
     def test_class_filter_restricts_output(self):
         cfg = MiningConfig(Fraction(3, 4), class_filter=frozenset(["Accept"]))
-        rules = mine(demo_dataset(), cfg)
+        rules = _mine(demo_dataset(), cfg)
         assert {r.consequent for r in rules} == {"Accept"}
 
     def test_min_support_prunes_rules(self):
         cfg = MiningConfig(Fraction(3, 4), min_support=2)
-        rules = mine(demo_dataset(), cfg)
+        rules = _mine(demo_dataset(), cfg)
         assert all(r.support >= 2 for r in rules)
         assert _rule_set(rules) == {
             ((("Relation", "Boss"),), "Accept", 3, 3),
@@ -150,21 +153,21 @@ class TestProperties:
     def test_rules_meet_threshold_and_support(self):
         for ds in self._corpus():
             for t in (Fraction(1, 2), Fraction(4, 5), Fraction(1)):
-                for rule in mine(ds, MiningConfig(t)):
+                for rule in _mine(ds, MiningConfig(t)):
                     assert rule.confidence >= t
                     assert rule.support >= 1
 
     def test_agt_rules_subset_of_apriori(self):
         for ds in self._corpus():
             for t in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
-                agt_rules = rule_keys(mine(ds, MiningConfig(t)))
+                agt_rules = rule_keys(_mine(ds, MiningConfig(t)))
                 base = rule_keys(apriori.mine(ds, t))
                 assert agt_rules <= base
 
     def test_no_parent_child_redundant_pair_in_output(self):
         for ds in self._corpus():
             t = Fraction(4, 5)
-            rules = mine(ds, MiningConfig(t))
+            rules = _mine(ds, MiningConfig(t))
             for a in rules:
                 for b in rules:
                     if a is b or a.consequent != b.consequent:
@@ -213,8 +216,8 @@ class TestProperties:
         )
         ds = Dataset.create(schema, instances)
         t = Fraction(7, 10)
-        lax = mine(ds, MiningConfig(t))
-        strict = mine(ds, MiningConfig(t, strict_redundancy=True))
+        lax = _mine(ds, MiningConfig(t))
+        strict = _mine(ds, MiningConfig(t, strict_redundancy=True))
         assert rule_keys(strict) <= rule_keys(lax)
 
 

@@ -296,7 +296,7 @@ class TestPipeline:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, demo_csv, capsys):
         monkeypatch.setenv("BEHAVRULES_OUT", str(tmp_path))

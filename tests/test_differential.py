@@ -1,18 +1,22 @@
-"""The bitset-counting miners against the row-scanning references in oracles.py."""
+"""The bitset-counting miners against the row-scanning references in oracles.py,
+and the one-pass sweep against one independent run per threshold."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from behavrules import agt, apriori, precedence
-from behavrules.datamodel import Rule
+from behavrules import agt, apriori, harness, precedence
+from behavrules.datamodel import ContextSchema, Dataset, Instance, Rule
 
 from oracles import (
     direct_frequent,
     random_dataset,
     reference_filter_redundant,
     reference_ranking,
+    reference_sweep,
     reference_tree,
 )
 
@@ -92,3 +96,72 @@ def test_filter_redundant_matches_pairwise_reference():
         duplicate_seen |= len(set(rules)) < len(rules)
         assert apriori.filter_redundant(rules) == reference_filter_redundant(rules)
     assert empty_seen and duplicate_seen
+
+
+SETTINGS = settings(max_examples=150, deadline=None)
+FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def datasets(draw):
+    return random_dataset(draw(st.randoms(use_true_random=False)), *draw(st.sampled_from(SHAPES)))
+
+
+@SETTINGS
+@given(
+    ds=datasets(),
+    thresholds=st.lists(FRACTIONS.filter(bool), min_size=1, max_size=5),
+    global_ranking=st.booleans(),
+    strict=st.booleans(),
+)
+def test_remarked_tree_matches_reference_at_last_threshold(ds, thresholds, global_ranking, strict):
+    configs = [
+        agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
+        for t in thresholds
+    ]
+    root = agt.build_tree(ds, configs[0])
+    for cfg in configs[1:]:
+        agt.mark_redundant(root, cfg)
+    assert _node_fields(root) == _node_fields(reference_tree(ds, configs[-1]))
+
+
+# thresholds outside (0, 1] and min_support 0 give error rows
+SWEEP_THRESHOLDS = st.lists(
+    st.one_of(FRACTIONS, st.sampled_from([Fraction(-1, 2), Fraction(5, 4)])),
+    min_size=0, max_size=6, unique=True,
+).map(sorted)
+
+
+@st.composite
+def edge_datasets(draw):
+    """An empty dataset or one without context attributes: every row fails."""
+    if draw(st.booleans()):
+        schema = ContextSchema.create([("a", ["x"])], ["c0", "c1"])
+        return Dataset.create(schema, [])
+    schema = ContextSchema.create([], ["c0", "c1"])
+    return Dataset.create(schema, [Instance({}, "c0")] * draw(st.integers(1, 3)))
+
+
+@SETTINGS
+@given(
+    ds=st.one_of(datasets(), datasets(), datasets(), edge_datasets()),  # 1 in 4 edge cases
+    thresholds=SWEEP_THRESHOLDS,
+    decreasing=st.booleans(),
+    min_support=st.integers(0, 4),
+)
+def test_sweep_matches_one_run_per_threshold(ds, thresholds, decreasing, min_support):
+    if decreasing:
+        thresholds.reverse()
+    assert harness.sweep(ds, thresholds, min_support) == reference_sweep(
+        ds, thresholds, min_support
+    )
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), t=FRACTIONS)
+def test_shadows_mark_exactly_what_the_pairwise_filter_drops(rng, t):
+    rules = _random_rules(rng)
+    pairs = [(r, s) for r, s in zip(rules, apriori.shadows(rules)) if r.confidence >= t]
+    base = [r for r, _ in pairs]
+    kept = [r for r, s in pairs if s is None or Fraction(*s) < t]
+    assert kept == reference_filter_redundant(base)

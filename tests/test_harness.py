@@ -83,7 +83,8 @@ class TestSweep:
         ds = demo_dataset()
         report = sweep(ds, list(DEFAULT_THRESHOLDS))
         for row in report.rows:
-            independent = agt.mine(ds, agt.MiningConfig(row.threshold))
+            cfg = agt.MiningConfig(row.threshold)
+            independent = agt.extract_rules(agt.build_tree(ds, cfg), cfg)
             assert row.agt_rules == len(independent)
 
     def test_apriori_counts_monotone_on_planted_data(self):

@@ -259,3 +259,22 @@ class TestLoadLog:
         rows = GOOD_ROWS + ["2004-09-17 09:30:00,incoming,42,Boss," + "x" * 200_000]
         with pytest.raises(IngestError, match="field larger than field limit"):
             load_log(self._write(tmp_path, rows), MAPPING)
+
+    def test_custom_labels_follow_the_minute_within_an_hour(self, tmp_path):
+        seg = SegmentationConfig(
+            mode="custom-boundaries",
+            segments=(
+                CustomSegment("Friday", "09:00", "09:30"),
+                CustomSegment("Friday", "09:30", "10:00", label="Late"),
+            ),
+        )
+        stamps = ["09:29:59", "09:30:00", "09:00:00", "10:00:00", "09:59:00", "09:29:00"]
+        rows = [GOOD_ROWS[0]] + [
+            "2004-09-17 %s,incoming,42,Boss,Meeting" % s for s in stamps
+        ]
+        ds, summary = load_log(self._write(tmp_path, rows), MAPPING, seg)
+        assert [i.values["Time"] for i in ds.instances] == [
+            "Friday[09:00-09:30]", "Late", "Friday[09:00-09:30]",
+            "Unsegmented", "Late", "Friday[09:00-09:30]",
+        ]
+        assert summary.unsegmented == 1

@@ -19,7 +19,13 @@ from behavrules.datamodel import (
     Instance,
     SchemaViolation,
 )
-from behavrules.ingest import ColumnMapping, IngestError, SegmentationConfig, load_log
+from behavrules.ingest import (
+    ColumnMapping,
+    CustomSegment,
+    IngestError,
+    SegmentationConfig,
+    load_log,
+)
 from behavrules.serialize import dataset_from_csv, dataset_to_csv
 
 from oracles import reference_dataset_from_csv, reference_load_log, reference_row_bits
@@ -146,14 +152,26 @@ def _true_lines(message, ends):
                   count=1)
 
 
+SEGMENTATIONS = st.sampled_from([
+    SegmentationConfig(),
+    SegmentationConfig(bucket_hours=3),
+    SegmentationConfig(mode="weekday-only"),
+    # minute-level bounds, a labelled segment and gaps (Unsegmented)
+    SegmentationConfig(mode="custom-boundaries", segments=tuple(
+        CustomSegment(day, start, end, label)
+        for day in ("Monday", "Wednesday", "Friday", "Saturday")
+        for start, end, label in (("00:00", "09:30", None), ("09:30", "09:31", "Brief"),
+                                  ("12:15", "24:00", None))
+    )),
+])
+
+
 @SETTINGS
-@given(log=call_logs(), strict=st.booleans(),
-       mode=st.sampled_from(["weekday-hour-bucket", "weekday-only"]))
-def test_load_log_matches_row_wise_reference(tmp_path, log, strict, mode):
+@given(log=call_logs(), strict=st.booleans(), seg=SEGMENTATIONS)
+def test_load_log_matches_row_wise_reference(tmp_path, log, strict, seg):
     text, mapping, ends = log
     path = tmp_path / "log.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    seg = SegmentationConfig(mode=mode)
     try:
         schema, instances, summary = reference_load_log(str(path), mapping, seg, strict)
     except (ValueError, IngestError) as exc:

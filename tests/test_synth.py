@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from behavrules.agt import MiningConfig, mine
+from behavrules.agt import MiningConfig, build_tree, extract_rules
 from behavrules.datamodel import ContextSchema, rule_stats
 from behavrules.ingest import ColumnMapping, load_log
 from behavrules.synth import GenerationError, PlantedRuleSpec, generate, write_log
@@ -83,7 +83,8 @@ class TestGenerate:
     def test_planted_rule_recovered_by_tree_miner(self):
         ds = generate(SCHEMA, [MEETING_REJECT], 1500, seed=11)
         t = MEETING_REJECT.target_confidence - Fraction(2, 100)
-        rules = mine(ds, MiningConfig(t))
+        cfg = MiningConfig(t)
+        rules = extract_rules(build_tree(ds, cfg), cfg)
         planted = frozenset(MEETING_REJECT.antecedent)
         hits = [
             r for r in rules
