@@ -17,7 +17,6 @@ from .agt import (
     MiningConfig,
     build_tree,
     extract_rules,
-    mark_redundant,
     tree_to_dot,
 )
 from .apriori import (
@@ -67,7 +66,6 @@ __all__ = [
     "generate_cars",
     "information_gain",
     "load_log",
-    "mark_redundant",
     "mine_frequent",
     "parse_threshold",
     "rank_contexts",

@@ -1,15 +1,16 @@
-"""Association generation tree: grow, mark redundant nodes, extract rules.
+"""Association generation tree: grow, then mark redundant nodes and extract rules.
 
 The tree is grown top-down. Each node carries the dominant behavior class
 of its instance subset and an exact-rational confidence. Growth does not
 depend on the confidence threshold: a node is a leaf when it is pure or
 its contexts are exhausted. The threshold only decides the REDUNDANT
-marks (mark_redundant) and which rules are extracted, so one grown tree
-can be re-marked and re-extracted at any number of thresholds. A child
-whose dominant class equals its parent's is REDUNDANT when both
-confidences meet the threshold; redundant nodes emit no rule but their
-subtrees are still explored, so a deviating grandchild can surface.
-Threshold tests are exact integer cross-multiplications.
+marks and which rules are extracted, and one walk does both:
+extract_rules rewrites every node's mark for its config as it collects
+the rules, so one grown tree can be extracted at any number of
+thresholds. A child whose dominant class equals its parent's is
+REDUNDANT when both confidences meet the threshold; redundant nodes emit
+no rule but their subtrees are still explored, so a deviating grandchild
+can surface. Threshold tests are exact integer cross-multiplications.
 """
 
 from __future__ import annotations
@@ -123,57 +124,33 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     return grow(bits.rows, bits.class_counts(bits.rows), None, contexts)
 
 
-def mark_redundant(root: AgtNode, cfg: MiningConfig) -> None:
-    """Rewrite every node's REDUNDANT flag for cfg's threshold, in one walk.
+def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
+    """Rewrite every node's REDUNDANT flag for cfg and collect its rules, in one walk.
 
-    A node is REDUNDANT when its confidence and its parent's both meet the
-    threshold and both have the same dominant class. In strict mode the
-    nearest ancestor meeting the threshold is compared as well, even when
-    the parent misses it. The root is never REDUNDANT.
+    A node is REDUNDANT when its confidence and its anchor's both meet the
+    threshold and both have the same dominant class. The anchor is the
+    parent; in strict mode it is the nearest ancestor meeting the
+    threshold, even when the parent misses it. The root is never REDUNDANT.
+    A non-root node generates a rule when its confidence meets the
+    threshold, its support meets min_support, it is not REDUNDANT, and its
+    class passes the optional filter. Descendants of redundant nodes are
+    still visited.
     """
     num, den = threshold_terms(cfg.confidence_threshold)
     strict = cfg.strict_redundancy
+    found: list[tuple[int, Rule]] = []
 
     # anchor: the ancestor a qualifying node is compared against, or None
-    def mark(node: AgtNode, anchor: Optional[AgtNode]) -> None:
+    def visit(node: AgtNode, anchor: Optional[AgtNode], path: tuple[Condition, ...]):
         meets = node.support * den >= num * node.size
         node.redundant = (
             meets and anchor is not None
             and anchor.dominant_behavior == node.dominant_behavior
         )
-        if meets:
-            anchor = node
-        elif not strict:
-            anchor = None
-        for child in node.children:
-            mark(child, anchor)
-
-    mark(root, None)
-
-
-def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
-    """Grow the tree over ds and mark it for cfg; node ids follow depth-first creation order."""
-    root = _grow(ds, cfg.global_ranking)
-    mark_redundant(root, cfg)
-    return root
-
-
-def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
-    """Collect one rule per valid non-root node, ordered by node id.
-
-    A node generates a rule when its confidence meets the threshold, its
-    support meets min_support, it is not REDUNDANT, and its class passes
-    the optional filter. Descendants of redundant nodes are still visited.
-    """
-    num, den = threshold_terms(cfg.confidence_threshold)
-    found: list[tuple[int, Rule]] = []
-
-    def visit(node: AgtNode, path: tuple[Condition, ...]):
         if node.branch is not None:
             path = path + (node.branch,)
             if (
-                not node.redundant
-                and node.support * den >= num * node.size
+                meets and not node.redundant
                 and node.support >= cfg.min_support
                 and (cfg.class_filter is None or node.dominant_behavior in cfg.class_filter)
             ):
@@ -184,12 +161,34 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
                     coverage=node.size,
                 )
                 found.append((node.node_id, rule))
+        if meets:
+            anchor = node
+        elif not strict:
+            anchor = None
         for child in node.children:
-            visit(child, path)
+            visit(child, anchor, path)
 
-    visit(root, ())
+    visit(root, None, ())
     found.sort(key=lambda pair: pair[0])
     return [rule for _, rule in found]
+
+
+def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
+    """Grow the tree over ds and mark it for cfg; node ids follow depth-first creation order."""
+    root = _grow(ds, cfg.global_ranking)
+    # not through extract_rules, so a tracer that wraps it (perfbench/spans.py)
+    # counts only the extractions callers ask for
+    _mark_and_extract(root, cfg)
+    return root
+
+
+def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
+    """Mark root's tree for cfg and return its rules, ordered by node id.
+
+    The result depends only on the tree's shape and cfg, whatever
+    threshold the tree was marked for before.
+    """
+    return _mark_and_extract(root, cfg)
 
 
 def tree_to_dot(root: AgtNode) -> str:

@@ -92,8 +92,8 @@ def sweep(
                 counts.append((base, kept))
             del cars, shadows  # not held while the tree grows
 
-    # the tree's shape does not depend on the threshold: grow it once and
-    # re-mark it for each threshold
+    # the tree's shape does not depend on the threshold: grow it once;
+    # extract_rules re-marks it for each threshold
     root = None
     rows = []
     for i, t in enumerate(thresholds):
@@ -105,8 +105,6 @@ def sweep(
             cfg = agt.MiningConfig(t, min_support)
             if root is None:
                 root = agt.build_tree(ds, cfg)
-            else:
-                agt.mark_redundant(root, cfg)
             agt_rules = agt.extract_rules(root, cfg)
             rows.append(SweepRow(t, base, len(agt_rules), removed_ratio))
         except (ValueError, ArithmeticError) as exc:

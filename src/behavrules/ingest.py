@@ -144,6 +144,15 @@ class ColumnMapping:
     context_cols: tuple[str, ...]
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ConfigError(
+                "mapping delimiter must be one character, got %r" % (self.delimiter,)
+            )
+        columns = (self.timestamp_col, self.type_col, self.duration_col, *self.context_cols)
+        if not all(isinstance(col, str) for col in columns):
+            raise ConfigError("mapping columns must be strings, got %r" % (columns,))
+
     @classmethod
     def from_file(cls, path: str) -> "ColumnMapping":
         """Read a mapping config, either JSON or key=value lines."""
@@ -167,6 +176,11 @@ class ColumnMapping:
             raise ConfigError("mapping missing key context_cols") from exc
         if isinstance(context, str):
             context = [c.strip() for c in context.split(",") if c.strip()]
+        elif not isinstance(context, list):
+            raise ConfigError(
+                "mapping context_cols must be a list or a comma-separated string, got %r"
+                % (context,)
+            )
         try:
             return cls(
                 timestamp_col=raw["timestamp_col"],

@@ -13,6 +13,10 @@ BEHAVIOR_COLUMN = "behavior"
 
 def dataset_to_csv(ds: Dataset) -> str:
     """Canonical dataset file: context columns plus a trailing behavior column."""
+    if BEHAVIOR_COLUMN in ds.schema.attribute_names:
+        raise SchemaViolation(
+            "context attribute %r collides with the class column" % BEHAVIOR_COLUMN
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(ds.schema.attribute_names) + [BEHAVIOR_COLUMN])
@@ -29,6 +33,8 @@ def dataset_from_csv(text: str) -> Dataset:
         raise SchemaViolation("dataset file is empty") from None
     if BEHAVIOR_COLUMN not in header:
         raise SchemaViolation("dataset file lacks a %r column" % BEHAVIOR_COLUMN)
+    if header.count(BEHAVIOR_COLUMN) > 1:
+        raise SchemaViolation("dataset file names the %r column more than once" % BEHAVIOR_COLUMN)
     behavior_idx = header.index(BEHAVIOR_COLUMN)
     # one list per file column, filled as rows arrive: keeping every row
     # list for a transpose makes the cyclic GC rescan them all

@@ -50,8 +50,8 @@ class PlantedRuleSpec:
             raise GenerationError(
                 "target confidence must be in (0, 1], got %s" % self.target_confidence
             )
-        if self.weight <= 0:
-            raise GenerationError("weight must be positive, got %s" % self.weight)
+        if not (0 < self.weight <= 1):  # NaN fails too
+            raise GenerationError("weight must be in (0, 1], got %s" % self.weight)
 
 
 def generate(

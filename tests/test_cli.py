@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from behavrules import serialize
 from behavrules.cli import main
@@ -29,6 +31,17 @@ MAPPING_TEXT = (
     "type_col=call_type\n"
     "duration_col=duration\n"
     "context_cols=Relation\n"
+)
+MAPPING = {
+    "timestamp_col": "timestamp",
+    "type_col": "call_type",
+    "duration_col": "duration",
+    "context_cols": ["Relation"],
+}
+LOG_TEXT = (
+    "timestamp,call_type,duration,Relation,behavior\n"
+    "2004-09-17 09:30:00,incoming,42,Boss,y\n"
+    "2004-09-18 10:30:00,missed,0,Friend,z\n"
 )
 
 
@@ -210,8 +223,14 @@ class TestInputErrors:
             (dict(GEN_SPEC, seed=1.5), "spec seed must be an integer, got 1.5"),
             ({k: v for k, v in GEN_SPEC.items() if k != "attributes"},
              "spec lacks key 'attributes'"),
+            *[
+                (dict(GEN_SPEC, rules=[dict(GEN_SPEC["rules"][0], weight=w)]),
+                 "weight must be in (0, 1], got %s" % got)
+                for w, got in (("nan", "nan"), ("inf", "inf"), (1e308, "1e+308"))
+            ],
         ],
-        ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key"],
+        ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key",
+             "weight-nan", "weight-inf", "weight-1e308"],
     )
     def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
@@ -219,6 +238,44 @@ class TestInputErrors:
         assert main(["gen", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (MAPPING_TEXT + "delimiter=ab\n", "delimiter must be one character, got 'ab'"),
+            (MAPPING_TEXT + "delimiter=\n", "delimiter must be one character, got ''"),
+            (json.dumps(dict(MAPPING, delimiter=5)), "delimiter must be one character, got 5"),
+            (json.dumps(dict(MAPPING, context_cols=5)),
+             "context_cols must be a list or a comma-separated string, got 5"),
+        ],
+        ids=["delimiter-two-chars", "delimiter-empty", "delimiter-number", "context-number"],
+    )
+    def test_bad_mapping_exits_1_naming_the_problem(self, tmp_path, capsys, text, message):
+        log, mapping = tmp_path / "log.csv", tmp_path / "map.conf"
+        log.write_text(LOG_TEXT)
+        mapping.write_text(text)
+        assert main(["ingest", str(log), "--mapping", str(mapping)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_context_column_named_behavior_exits_1(self, tmp_path, capsys):
+        log, mapping = tmp_path / "log.csv", tmp_path / "map.conf"
+        log.write_text(LOG_TEXT)
+        mapping.write_text(json.dumps(dict(MAPPING, context_cols=["behavior"])))
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "collides" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_dataset_naming_behavior_twice_exits_1(self, tmp_path, capsys):
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text("Time,behavior,behavior\nMonday,y,Accept\nFriday,z,Reject\n")
+        assert main(["mine-agt", str(dataset), "--min-conf", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and "more than once" in err and err.count("\n") == 1
 
     def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
         from behavrules import cli
@@ -238,6 +295,49 @@ class TestInputErrors:
         assert main(["gen", "--spec", str(spec)]) == 0
         out = capsys.readouterr().out
         assert out.encode() == log.read_bytes().replace(b"\r\n", b"\n")
+
+
+# the log's column names, separators and the names that collide
+NAMES = ["timestamp", "call_type", "duration", "Relation", "behavior", "Time",
+         ",", ";", "ab", "", "Relation,Time", "Relation,Relation"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(NAMES)
+    | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _line_value(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def mapping_texts(draw):
+    """A working mapping with up to two keys dropped or changed, as JSON or key=value lines."""
+    raw = dict(MAPPING, delimiter=",")
+    for key in draw(st.sets(st.sampled_from(sorted(raw)), max_size=2)):
+        if draw(st.booleans()):
+            del raw[key]
+        else:
+            name = st.sampled_from(NAMES)
+            raw[key] = draw(name | st.lists(name) | JSON_VALUES)
+    if draw(st.booleans()):
+        return json.dumps(raw)
+    return "".join("%s=%s\n" % (key, _line_value(value)) for key, value in raw.items())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mapping_texts() | st.text(max_size=40))
+def test_any_mapping_text_exits_0_or_1(tmp_path, text):
+    log, mapping = tmp_path / "log.csv", tmp_path / "map.conf"
+    log.write_text(LOG_TEXT)
+    mapping.write_text(text, encoding="utf-8")
+    out = tmp_path / "dataset.csv"
+    assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) in (0, 1)
 
 
 class TestPipeline:

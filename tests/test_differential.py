@@ -12,12 +12,14 @@ from behavrules import agt, apriori, harness, precedence
 from behavrules.datamodel import ContextSchema, Dataset, Instance, Rule
 
 from oracles import (
+    brute_force_cars,
     direct_frequent,
     random_dataset,
     reference_filter_redundant,
     reference_ranking,
     reference_sweep,
     reference_tree,
+    rule_keys,
 )
 
 THRESHOLDS = [Fraction(1), Fraction(9, 10), Fraction(3, 4), Fraction(1, 2)]
@@ -111,18 +113,29 @@ def datasets(draw):
 @given(
     ds=datasets(),
     thresholds=st.lists(FRACTIONS.filter(bool), min_size=1, max_size=5),
+    min_support=st.integers(1, 4),
+    class_filter=st.none() | st.frozensets(st.sampled_from(["c0", "c1", "c2"])),
     global_ranking=st.booleans(),
     strict=st.booleans(),
 )
-def test_remarked_tree_matches_reference_at_last_threshold(ds, thresholds, global_ranking, strict):
+def test_remarked_tree_matches_reference_at_last_threshold(
+    ds, thresholds, min_support, class_filter, global_ranking, strict
+):
     configs = [
-        agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
+        agt.MiningConfig(
+            t, min_support, class_filter,
+            global_ranking=global_ranking, strict_redundancy=strict,
+        )
         for t in thresholds
     ]
+    # every extraction re-marks the one tree; nothing else does
     root = agt.build_tree(ds, configs[0])
-    for cfg in configs[1:]:
-        agt.mark_redundant(root, cfg)
-    assert _node_fields(root) == _node_fields(reference_tree(ds, configs[-1]))
+    for cfg in configs:
+        rules = agt.extract_rules(root, cfg)
+    cfg = configs[-1]
+    assert _node_fields(root) == _node_fields(reference_tree(ds, cfg))
+    assert rules == agt.extract_rules(agt.build_tree(ds, cfg), cfg)
+    assert rule_keys(rules) <= brute_force_cars(ds, cfg.confidence_threshold, min_support)
 
 
 # thresholds outside (0, 1] and min_support 0 give error rows
