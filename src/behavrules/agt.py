@@ -1,16 +1,19 @@
 """Association generation tree: grow, then mark redundant nodes and extract rules.
 
 The tree is grown top-down. Each node carries the dominant behavior class
-of its instance subset and an exact-rational confidence. Growth does not
-depend on the confidence threshold: a node is a leaf when it is pure or
-its contexts are exhausted. The threshold only decides the REDUNDANT
-marks and which rules are extracted, and one walk does both:
-extract_rules rewrites every node's mark for its config as it collects
-the rules, so one grown tree can be extracted at any number of
-thresholds. A child whose dominant class equals its parent's is
-REDUNDANT when both confidences meet the threshold; redundant nodes emit
-no rule but their subtrees are still explored, so a deviating grandchild
-can surface. Threshold tests are exact integer cross-multiplications.
+of its instance subset and an exact-rational confidence. A node's subset
+is a list of ascending row ids: precedence.split tallies it once per
+remaining attribute, and only the chosen attribute's rows are sorted
+into the children's lists. Growth does not depend on the confidence
+threshold: a node is a leaf when it is pure or its contexts are
+exhausted. The threshold only decides the REDUNDANT marks and which
+rules are extracted, and one walk does both: extract_rules rewrites
+every node's mark for its config as it collects the rules, so one grown
+tree can be extracted at any number of thresholds. A child whose
+dominant class equals its parent's is REDUNDANT when both confidences
+meet the threshold; redundant nodes emit no rule but their subtrees are
+still explored, so a deviating grandchild can surface. Threshold tests
+are exact integer cross-multiplications.
 """
 
 from __future__ import annotations
@@ -90,12 +93,12 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     if global_ranking:
         global_order = rank_contexts(ds, contexts).attributes
 
-    bits = ds.bits
+    values = ds.codes.values
     next_id = 1
 
-    # rows is the bitset of this node's instances (see Dataset.bits) and
-    # counts their class counts, which the parent's split already took
-    def grow(rows: int, counts, branch, remaining) -> AgtNode:
+    # rows are this node's row ids, ascending, and counts their class
+    # counts, which the parent's split already took
+    def grow(rows, counts, branch, remaining) -> AgtNode:
         nonlocal next_id
         dominant = _dominant(counts)
         node = AgtNode(
@@ -116,12 +119,17 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
             best = rank_splits(ds, rows, counts, remaining)[0]
         node.split_attribute = best.attr
         rest = [a for a in remaining if a != best.attr]
+        # a stable sort groups the rows by value in domain order, the
+        # children's order, and keeps each group ascending
+        ordered = sorted(rows, key=values[best.attr].__getitem__)
+        start = 0
         for val, child_counts in best.children:
-            child = rows & bits.conditions[best.attr, val]
-            node.children.append(grow(child, child_counts, (best.attr, val), rest))
+            end = start + sum(child_counts.values())
+            node.children.append(grow(ordered[start:end], child_counts, (best.attr, val), rest))
+            start = end
         return node
 
-    return grow(bits.rows, bits.class_counts(bits.rows), None, contexts)
+    return grow(range(len(ds)), ds.class_counts(), None, contexts)
 
 
 def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:

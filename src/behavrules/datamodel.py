@@ -3,11 +3,12 @@
 Schemas, datasets and rules are frozen dataclasses. A Dataset stores its
 rows as columns: one tuple of values per attribute, in schema order, plus
 a tuple of behavior labels. The loaders fill those columns directly and
-build no per-row objects. Two views are derived from the columns and
+build no per-row objects. Three views are derived from the columns and
 cached on first use: `instances`, one Instance per row (its values are a
-plain dict, which callers must not mutate), and `bits`, the row-id bitsets
-the miners count with (see RowBits). The caches never change what a
-public method returns.
+plain dict, which callers must not mutate); `bits`, the row-id bitsets
+Apriori counts with (see RowBits); and `codes`, each row's value index
+and value-by-class code per attribute, which tree growth tallies (see
+RowCodes). The caches never change what a public method returns.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -15,6 +16,7 @@ comparisons like ">= 80%" never suffer float rounding.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -124,11 +126,9 @@ class Instance:
 class RowBits:
     """Row-id bitsets of one dataset, one Python int per set.
 
-    Every count the miners take is the popcount of an AND of these sets,
+    Every count Apriori takes is the popcount of an AND of these sets,
     e.g. ``(conditions[c] & classes[k]).bit_count()``. Row i of an n-row
-    dataset is bit n-1-i, so a set's first row is its highest bit, which
-    int.bit_length reads in O(1); finding the lowest bit costs a pass over
-    the whole int.
+    dataset is bit n-1-i.
     """
 
     rows: int  # every row
@@ -160,15 +160,35 @@ class RowBits:
             classes=column_bits(behaviors, sorted(schema.behavior_classes)),
         )
 
-    def class_counts(self, rows: int) -> dict[str, int]:
-        """Class sizes within rows, in order of each class's first row."""
-        present = []
-        for label, bits in self.classes.items():
-            hit = rows & bits
-            if hit:
-                present.append((-hit.bit_length(), label, hit))
-        present.sort()
-        return {label: hit.bit_count() for _, label, hit in present}
+
+@dataclass(frozen=True)
+class RowCodes:
+    """Per-attribute integer codes of one dataset's rows, for tree growth.
+
+    values[attr][i] is the index of row i's value in attr's domain, and
+    value_class[attr][i] is values[attr][i] * len(labels) + the index of
+    row i's class in labels, so one tally of value_class codes counts rows
+    by value and class at once.
+    """
+
+    labels: tuple[str, ...]  # behavior classes, sorted
+    values: dict[str, list[int]]
+    value_class: dict[str, list[int]]
+
+    @classmethod
+    def encode(cls, schema: ContextSchema, columns, behaviors) -> "RowCodes":
+        labels = tuple(sorted(schema.behavior_classes))
+        values, value_class = {}, {}
+        for (name, domain), column in zip(schema.attributes, columns):
+            index = {val: v for v, val in enumerate(domain)}
+            # looked up rather than computed per row, so rows share each code's int
+            code = {
+                (val, label): v * len(labels) + b
+                for val, v in index.items() for b, label in enumerate(labels)
+            }
+            values[name] = list(map(index.__getitem__, column))
+            value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
+        return cls(labels, values, value_class)
 
 
 def _first_miss(values, allowed) -> int:
@@ -303,9 +323,14 @@ class Dataset:
         """Row-id bitsets over this dataset, built on first use."""
         return RowBits.encode(self.schema, self.columns, self.behaviors)
 
+    @cached_property
+    def codes(self) -> RowCodes:
+        """Value and value-by-class codes of every row, built on first use."""
+        return RowCodes.encode(self.schema, self.columns, self.behaviors)
+
     def class_counts(self) -> dict[str, int]:
         """Instances per behavior class, in order of each class's first instance."""
-        return self.bits.class_counts(self.bits.rows)
+        return dict(Counter(self.behaviors))
 
     def fingerprint(self) -> str:
         return "%d:%s" % (len(self), self.schema.fingerprint())

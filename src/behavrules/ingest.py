@@ -155,7 +155,7 @@ class ColumnMapping:
 
     @classmethod
     def from_file(cls, path: str) -> "ColumnMapping":
-        """Read a mapping config, either JSON or key=value lines."""
+        """Read a mapping config: JSON, or key=value lines, where delimiter=\\t is a tab."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
@@ -170,6 +170,8 @@ class ColumnMapping:
                     raise ConfigError("bad mapping line %r" % line)
                 key, value = line.split("=", 1)
                 raw[key.strip()] = value.strip()
+            if raw.get("delimiter") == "\\t":
+                raw["delimiter"] = "\t"
         try:
             context = raw["context_cols"]
         except KeyError as exc:

@@ -3,14 +3,16 @@
 The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
-reproducible. Class counts come from the dataset's row bitsets
-(Dataset.bits), so the tree can rank the rows of any node without
-building a sub-dataset.
+reproducible. A node's rows are a list of ascending row ids, and one
+collections.Counter over the rows' value-by-class codes (Dataset.codes)
+gives the class counts of every child of a split, so the tree can rank
+the rows of any node without building a sub-dataset.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
@@ -46,27 +48,31 @@ class Split(NamedTuple):
     children: list[tuple[str, dict[str, int]]]
 
 
-def split(ds: Dataset, rows: int, counts: dict[str, int], attr: str) -> Split:
-    """Partition the rows in bitset rows (see Dataset.bits) by attr.
+def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -> Split:
+    """Partition rows, ascending row ids of ds, by attr.
 
-    counts are the class counts of rows, in first-row order. Children are
-    summed in domain order and each child's classes in first-row order,
-    so the gain is the same float however the rows are stored.
+    counts are the class counts of rows, in first-row order. One tally of
+    the rows' value-by-class codes (see Dataset.codes) gives every
+    child's class counts; it keeps each code's first row, so each child's
+    classes come in first-row order. Children are summed in domain order,
+    so the gain is the same float however the rows are counted.
     """
     domain = ds.schema.domain(attr)  # also rejects an unknown attribute
     n = sum(counts.values())
     if n == 0:
         return Split(attr, 0.0, [])
-    bits = ds.bits
+    labels = ds.codes.labels
+    by_value: dict[int, dict[str, int]] = {}
+    for code, count in Counter(map(ds.codes.value_class[attr].__getitem__, rows)).items():
+        v, b = divmod(code, len(labels))
+        by_value.setdefault(v, {})[labels[b]] = count
     children = []
     split_entropy = 0.0
-    for val in domain:
-        sub = rows & bits.conditions[attr, val]
-        if sub:
-            child = bits.class_counts(sub)
-            size = sum(child.values())
-            split_entropy += (size / n) * _entropy(child.values(), size)
-            children.append((val, child))
+    for v in sorted(by_value):
+        child = by_value[v]
+        size = sum(child.values())
+        split_entropy += (size / n) * _entropy(child.values(), size)
+        children.append((domain[v], child))
     gain = _entropy(counts.values(), n) - split_entropy
     # numeric noise can push a zero gain slightly negative
     return Split(attr, max(gain, 0.0), children)
@@ -74,7 +80,7 @@ def split(ds: Dataset, rows: int, counts: dict[str, int], attr: str) -> Split:
 
 def information_gain(ds: Dataset, attr: str) -> float:
     """Expected entropy reduction from partitioning ds by attr's values."""
-    return split(ds, ds.bits.rows, ds.class_counts(), attr).gain
+    return split(ds, range(len(ds)), ds.class_counts(), attr).gain
 
 
 def _compare(a: Split, b: Split) -> int:
@@ -86,7 +92,7 @@ def _compare(a: Split, b: Split) -> int:
 
 
 def rank_splits(
-    ds: Dataset, rows: int, counts: dict[str, int], candidates: Sequence[str]
+    ds: Dataset, rows: Sequence[int], counts: dict[str, int], candidates: Sequence[str]
 ) -> list[Split]:
     """Splits of rows by each candidate, highest gain first; ties by name."""
     splits = [split(ds, rows, counts, name) for name in candidates]
@@ -115,5 +121,5 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     """Rank candidate attributes by gain, descending; ties by name."""
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
-    splits = rank_splits(ds, ds.bits.rows, ds.class_counts(), candidates)
+    splits = rank_splits(ds, range(len(ds)), ds.class_counts(), candidates)
     return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits))

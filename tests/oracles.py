@@ -174,8 +174,8 @@ def reference_ranking(schema, instances, candidates):
 def reference_tree(ds, cfg):
     """Grow the association generation tree by filtering instance lists.
 
-    The tree miner before it counted with row bitsets: every node holds
-    its instances and every gain partitions them anew.
+    The tree miner as it was before it counted encoded rows: every node
+    holds its instances and every gain partitions them anew.
     """
     from behavrules.agt import AgtNode
 

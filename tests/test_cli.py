@@ -277,6 +277,20 @@ class TestInputErrors:
         err = captured.err
         assert err.startswith("error: ") and "more than once" in err and err.count("\n") == 1
 
+    def test_tab_delimiter_escape_matches_json_tab(self, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_text(LOG_TEXT.replace(",", "\t"))
+        key_value, as_json = tmp_path / "map.conf", tmp_path / "map.json"
+        key_value.write_text(MAPPING_TEXT + "delimiter=\\t\n")
+        as_json.write_text(json.dumps(dict(MAPPING, delimiter="\t")))
+        written = []
+        for mapping in (key_value, as_json):
+            out = tmp_path / (mapping.name + ".csv")
+            assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == 3  # header and both rows
+
     def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
         from behavrules import cli
 
@@ -340,6 +354,60 @@ def test_any_mapping_text_exits_0_or_1(tmp_path, text):
     assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) in (0, 1)
 
 
+DATASET_CELLS = {
+    "Time": ["Monday", "Friday"],
+    "Relation": ["Boss", "Friend", "Stranger"],
+    "behavior": ["Accept", "Reject", "Missed"],
+}
+DATASET_FAULTS = ["drop cell", "extra cell", "empty cell", "empty row", "no behavior",
+                  "two behaviors", "one column", "not utf-8", "no rows"]
+
+
+@st.composite
+def dataset_bytes(draw):
+    """A valid dataset file with up to two faults: a cell dropped, added or
+    emptied, an empty row, a missing or doubled behavior header, no context
+    column, a byte that is not UTF-8, or no rows."""
+    header = draw(st.permutations(list(DATASET_CELLS)))
+    rows = [[draw(st.sampled_from(DATASET_CELLS[name])) for name in header]
+            for _ in range(draw(st.integers(1, 8)))]
+    bad_byte = b""
+    for fault in draw(st.lists(st.sampled_from(DATASET_FAULTS), max_size=2)):
+        row = draw(st.sampled_from(rows)) if rows else header
+        if fault == "drop cell" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif fault == "extra cell":
+            row.append(draw(st.sampled_from(DATASET_CELLS["Relation"])))
+        elif fault == "empty cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = ""
+        elif fault == "empty row":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault == "no behavior" and "behavior" in header:
+            header[header.index("behavior")] = "Activity"
+        elif fault == "two behaviors":
+            header[0] = "behavior"
+        elif fault == "one column":
+            header, rows = ["behavior"], [[r[-1]] if r else [] for r in rows]
+        elif fault == "not utf-8":
+            bad_byte = draw(st.sampled_from([b"\xff", b"\xc3"]))
+        elif fault == "no rows":
+            rows = []
+    data = "\n".join(",".join(line) for line in [header] + rows).encode("utf-8")
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] + bad_byte + data[cut:]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=dataset_bytes())
+def test_any_dataset_file_exits_0_or_1(tmp_path, capsys, data):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_bytes(data)
+    assert main(["mine-agt", str(dataset), "--min-conf", "50"]) in (0, 1)
+    assert main(["rank", str(dataset)]) in (0, 1)
+    capsys.readouterr()
+
+
 class TestPipeline:
     def test_gen_ingest_round_trip_fingerprint(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -389,6 +457,20 @@ class TestPipeline:
             ["mine-agt", str(dataset), "--min-conf", "80", "--dot", str(tmp_path / "t.dot")],
             ["mine-apriori", str(dataset), "--min-conf", "80", "--filter-redundant"],
             ["sweep", str(dataset), "--thresholds", "90", "70"],
+        ):
+            assert main(argv) == 0, argv
+
+    def test_tree_and_ranking_build_no_bitsets(self, demo_csv, monkeypatch, capsys):
+        from behavrules.datamodel import RowBits
+
+        def no_bits(*args, **kwargs):
+            raise AssertionError("row bitsets were built")
+
+        monkeypatch.setattr(RowBits, "encode", no_bits)
+        for argv in (
+            ["rank", demo_csv],
+            ["mine-agt", demo_csv, "--min-conf", "75"],
+            ["mine-agt", demo_csv, "--min-conf", "75", "--global-ranking"],
         ):
             assert main(argv) == 0, argv
 

@@ -1,5 +1,8 @@
-"""The bitset-counting miners against the row-scanning references in oracles.py,
-and the one-pass sweep against one independent run per threshold."""
+"""The miners against the row-scanning references in oracles.py, and the
+one-pass sweep against one independent run per threshold.
+
+Apriori counts with row bitsets and the tree tallies row-id lists; the
+references filter instance lists and enumerate condition sets."""
 
 import random
 from fractions import Fraction
@@ -23,13 +26,16 @@ from oracles import (
 )
 
 THRESHOLDS = [Fraction(1), Fraction(9, 10), Fraction(3, 4), Fraction(1, 2)]
-# (max_attrs, max_vals, max_inst): tiny trees and wider ones with ties
-SHAPES = [(3, 3, 12), (4, 4, 60), (5, 3, 150)]
+# (max_attrs, max_vals, max_inst): tiny trees and wider ones with ties, and
+# nodes with many children, like a 2-hour weekday Time attribute's
+SHAPES = [(3, 3, 12), (4, 4, 60), (5, 3, 150), (4, 24, 400)]
+# the shapes whose every condition set the exhaustive references can enumerate
+ENUMERABLE = SHAPES[:3]
 
 
-def _datasets(seed, count):
+def _datasets(seed, count, shapes=SHAPES):
     rng = random.Random(seed)
-    return [random_dataset(rng, *SHAPES[i % len(SHAPES)]) for i in range(count)]
+    return [random_dataset(rng, *shapes[i % len(shapes)]) for i in range(count)]
 
 
 def _node_fields(root):
@@ -43,14 +49,14 @@ def _node_fields(root):
 @pytest.mark.parametrize("global_ranking", [False, True])
 @pytest.mark.parametrize("strict", [False, True])
 def test_tree_matches_reference_node_by_node(global_ranking, strict):
-    for ds in _datasets(31, 60):
+    for ds in _datasets(31, 80):
         for t in THRESHOLDS:
             cfg = agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
             assert _node_fields(agt.build_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
 
 
 def test_ranking_and_gains_match_reference_exactly():
-    for ds in _datasets(37, 90):
+    for ds in _datasets(37, 120):
         names = list(ds.schema.attribute_names)
         expected = reference_ranking(ds.schema, ds.instances, names)
         # exact float equality: the sums run in the same order
@@ -59,17 +65,47 @@ def test_ranking_and_gains_match_reference_exactly():
             assert precedence.information_gain(ds, name) == gain
 
 
+def _first_seen_counts(labels):
+    counts = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    return counts
+
+
 def test_class_counts_keep_first_occurrence_order():
-    for ds in _datasets(41, 60):
-        direct = {}
-        for inst in ds.instances:
-            direct[inst.behavior] = direct.get(inst.behavior, 0) + 1
+    for ds in _datasets(41, 80):
+        direct = _first_seen_counts(inst.behavior for inst in ds.instances)
         assert list(ds.class_counts().items()) == list(direct.items())
+
+
+@pytest.mark.parametrize("global_ranking", [False, True])
+def test_every_split_lists_classes_in_first_row_order(monkeypatch, global_ranking):
+    calls = []
+    real = precedence.split
+
+    def recording(ds, rows, counts, attr):
+        result = real(ds, rows, counts, attr)
+        calls.append((ds, list(rows), counts, result))
+        return result
+
+    monkeypatch.setattr(precedence, "split", recording)
+    monkeypatch.setattr(agt, "split", recording)
+    for ds in _datasets(53, 40):
+        agt.build_tree(ds, agt.MiningConfig(Fraction(1), global_ranking=global_ranking))
+    assert any(len(rows) < len(ds) for ds, rows, _, _ in calls)  # below the root too
+    for ds, rows, counts, result in calls:
+        # the node's instances, scanned in dataset order
+        node = [ds.instances[i] for i in sorted(set(rows))]
+        assert len(node) == len(rows)
+        assert list(counts.items()) == list(_first_seen_counts(i.behavior for i in node).items())
+        for val, child in result.children:
+            scanned = (i.behavior for i in node if i.values[result.attr] == val)
+            assert list(child.items()) == list(_first_seen_counts(scanned).items())
 
 
 @pytest.mark.parametrize("min_support", [1, 2, 3])
 def test_mine_frequent_supports_match_direct_counting(min_support):
-    for ds in _datasets(43, 45):
+    for ds in _datasets(43, 45, ENUMERABLE):
         found = apriori.mine_frequent(ds, min_support)
         assert {fi.items: fi.support for fi in found} == direct_frequent(ds, min_support)
         keys = [(len(fi.items), sorted(fi.items)) for fi in found]
@@ -106,7 +142,9 @@ FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 @st.composite
 def datasets(draw):
-    return random_dataset(draw(st.randoms(use_true_random=False)), *draw(st.sampled_from(SHAPES)))
+    return random_dataset(
+        draw(st.randoms(use_true_random=False)), *draw(st.sampled_from(ENUMERABLE))
+    )
 
 
 @SETTINGS
