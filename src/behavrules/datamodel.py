@@ -2,13 +2,16 @@
 
 Schemas, datasets and rules are frozen dataclasses. A Dataset stores its
 rows as columns: one tuple of values per attribute, in schema order, plus
-a tuple of behavior labels. The loaders fill those columns directly and
-build no per-row objects. Three views are derived from the columns and
-cached on first use: `instances`, one Instance per row (its values are a
-plain dict, which callers must not mutate); `bits`, the row-id bitsets
-Apriori counts with (see RowBits); and `codes`, each row's value index
-and value-by-class code per attribute, which tree growth tallies (see
-RowCodes). The caches never change what a public method returns.
+a tuple of behavior labels. The loaders, the generator and the fixtures
+all build datasets with Dataset.from_columns and no per-row objects.
+Three views are derived from the columns and cached on first use:
+`instances`, one Instance per row (its values are a plain dict, which
+callers must not mutate); `bits`, the row-id bitsets Apriori counts with
+(see RowBits); and `codes`, each row's value index and value-by-class
+code per attribute, which tree growth tallies (see RowCodes). The caches
+never change what a public method returns. The row layer (Instance,
+`instances`, Dataset(schema, instances), create, subset) serves only the
+tests and the benchmark.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -265,19 +268,11 @@ class Dataset:
 
     @classmethod
     def create(cls, schema: ContextSchema, instances: Iterable[Instance]) -> "Dataset":
-        """Validate every instance against the schema; derived datasets
-        (subsets of an already-validated one) skip re-validation."""
+        """Validate every instance against the schema, in row order."""
         instances = tuple(instances)
-        names = set(schema.attribute_names)
-        for k, inst in enumerate(instances):
-            if inst.values.keys() != names:
-                # a bad value or class in an earlier row is reported first
-                head = cls(schema, instances[:k])
-                _check_columns(schema, head.columns, head.behaviors)
-                inst.validate(schema)  # raises: inst lacks or adds an attribute
-        ds = cls(schema, instances)
-        _check_columns(schema, ds.columns, ds.behaviors)
-        return ds
+        for inst in instances:
+            inst.validate(schema)
+        return cls(schema, instances)
 
     @classmethod
     def from_columns(cls, schema: ContextSchema, columns, behaviors) -> "Dataset":
@@ -376,13 +371,14 @@ def rule_stats(ds: Dataset, antecedent: Iterable[Condition], consequent: str) ->
             raise SchemaViolation("value %r not in domain of %r" % (val, attr))
     if consequent not in ds.schema.behavior_classes:
         raise SchemaViolation("unknown behavior class %r" % consequent)
-    coverage = 0
-    support = 0
-    for inst in ds.instances:
-        if inst.matches(conditions):
+    names = ds.schema.attribute_names
+    columns = [ds.columns[names.index(attr)] for attr, _ in conditions]
+    wanted = [val for _, val in conditions]
+    coverage = support = 0
+    for behavior, *values in zip(ds.behaviors, *columns):
+        if values == wanted:
             coverage += 1
-            if inst.behavior == consequent:
-                support += 1
+            support += behavior == consequent
     return RuleStats(support, coverage)
 
 

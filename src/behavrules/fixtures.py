@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .datamodel import ContextSchema, Dataset, Instance, Rule
+from .datamodel import ContextSchema, Dataset, Rule
 
 
 def demo_schema() -> ContextSchema:
@@ -20,13 +20,8 @@ def demo_dataset() -> Dataset:
         + [("Lunch", "Friend", "Accept")]
         + [("Lunch", "Boss", "Accept")]
     )
-    return Dataset.create(
-        demo_schema(),
-        (
-            Instance({"Activity": act, "Relation": rel}, beh)
-            for act, rel, beh in rows
-        ),
-    )
+    *columns, behaviors = zip(*rows)
+    return Dataset.from_columns(demo_schema(), columns, behaviors)
 
 
 def sample_rule_set() -> list[Rule]:
@@ -74,10 +69,5 @@ def sample_rule_dataset() -> Dataset:
         + [("Lunch", "Boss", "Reject")]
         + [("Lunch", "Boss", "Missed")]
     )
-    return Dataset.create(
-        schema,
-        (
-            Instance({"Activity": act, "Relation": rel}, beh)
-            for act, rel, beh in rows
-        ),
-    )
+    *columns, behaviors = zip(*rows)
+    return Dataset.from_columns(schema, columns, behaviors)

@@ -195,6 +195,9 @@ class ColumnMapping:
             raise ConfigError("mapping missing key %s" % exc) from exc
 
 
+SKIP_REASONS_KEPT = 20
+
+
 @dataclass
 class IngestSummary:
     rows_read: int = 0
@@ -202,6 +205,7 @@ class IngestSummary:
     skipped: int = 0
     unsegmented: int = 0
     cardinalities: dict[str, int] = field(default_factory=dict)
+    # the first SKIP_REASONS_KEPT reasons; skipped counts every skipped row
     skip_reasons: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
@@ -213,7 +217,7 @@ class IngestSummary:
         ]
         for attr, card in self.cardinalities.items():
             lines.append("attribute %-16s %d values" % (attr, card))
-        for reason in self.skip_reasons[:20]:
+        for reason in self.skip_reasons[:SKIP_REASONS_KEPT]:
             lines.append("skipped row: %s" % reason)
         return "\n".join(lines)
 
@@ -247,8 +251,9 @@ def load_log(
 
     Lenient mode counts and skips unparseable rows; strict mode aborts on
     the first one. Missing context cells become the "Unknown" value.
-    Skip reasons name the file line a record ends on. Kept rows go
-    straight into one list per attribute.
+    Skip reasons name the file line a record ends on; the summary keeps
+    the first SKIP_REASONS_KEPT of them. Kept rows go straight into one
+    list per attribute.
     """
     summary = IngestSummary()
     # a label depends only on the weekday and hour, and on the minute in
@@ -288,7 +293,8 @@ def load_log(
                     if strict:
                         raise IngestError(reason) from exc
                     summary.skipped += 1
-                    summary.skip_reasons.append(reason)
+                    if len(summary.skip_reasons) < SKIP_REASONS_KEPT:
+                        summary.skip_reasons.append(reason)
                     continue
                 if by_minute:
                     key = (ts.weekday(), ts.hour, ts.minute)

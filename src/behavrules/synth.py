@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
-from .datamodel import Condition, ContextSchema, Dataset, Instance
+from .datamodel import Condition, ContextSchema, Dataset
 from .ingest import (
     ACCEPT,
     BEHAVIOR_CLASSES,
@@ -87,7 +87,13 @@ def generate(
     if any(q == 0 for q in quotas):
         raise GenerationError("a planted rule's quota rounded to zero; raise n or weight")
 
-    instances: list[Instance] = []
+    position = {name: i for i, name in enumerate(schema.attribute_names)}
+
+    def overlaps(values, antecedents):
+        """Whether values, in schema order, match any of the antecedents."""
+        return any(all(values[position[a]] == v for a, v in ante) for ante in antecedents)
+
+    rows: list[tuple[str, ...]] = []  # values in schema order, then the class
     for spec, quota in zip(specs, quotas):
         positives = round(float(spec.target_confidence) * quota)
         realized = Fraction(positives, quota)
@@ -101,13 +107,13 @@ def generate(
         foreign = [s.antecedent for s in specs if s is not spec]
         for i in range(quota):
             for _attempt in range(10000):
-                values = {}
-                for attr, domain in schema.attributes:
-                    values[attr] = fixed.get(attr) or rng.choice(domain)
+                values = [
+                    fixed.get(attr) or rng.choice(domain)
+                    for attr, domain in schema.attributes
+                ]
                 # overlap with another planted antecedent would skew its
                 # realized confidence
-                probe = Instance(values, spec.consequent)
-                if not any(probe.matches(a) for a in foreign):
+                if not overlaps(values, foreign):
                     break
             else:
                 raise GenerationError(
@@ -118,25 +124,23 @@ def generate(
                 behavior = spec.consequent
             else:
                 behavior = rng.choice(others) if others else spec.consequent
-            instances.append(Instance(values, behavior))
+            rows.append((*values, behavior))
 
     antecedents = [spec.antecedent for spec in specs]
     for _ in range(n - sum(quotas)):
         for _attempt in range(10000):
-            values = {
-                attr: rng.choice(domain) for attr, domain in schema.attributes
-            }
-            probe = Instance(values, classes[0])
-            if not any(probe.matches(a) for a in antecedents):
+            values = [rng.choice(domain) for _, domain in schema.attributes]
+            if not overlaps(values, antecedents):
                 break
         else:
             raise GenerationError(
                 "could not draw background instances avoiding the planted antecedents"
             )
-        instances.append(Instance(values, rng.choice(classes)))
+        rows.append((*values, rng.choice(classes)))
 
-    rng.shuffle(instances)
-    return Dataset.create(schema, instances)
+    rng.shuffle(rows)
+    *columns, behaviors = zip(*rows)
+    return Dataset.from_columns(schema, columns, behaviors)
 
 
 # --- emitting datasets in the raw call-log format the ingest module reads ---

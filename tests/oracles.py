@@ -2,12 +2,13 @@
 
 Rules are found by exhaustive enumeration with direct counting, with no
 candidate pruning; the reference tree and filter are the row-scanning and
-pairwise versions the package replaced; and the reference loaders and
-encoder build one dict and one Instance per row, as the package did before
-datasets were stored as columns. None of these shares code with the
-package's mining or loading paths. The one exception is the reference
-sweep: it calls the package's miners afresh for every threshold, as the
-sweep did before it grew one tree and ran one redundancy pass for all.
+pairwise versions the package replaced; and the reference loaders,
+encoder and generator build one dict and one Instance per row, as the
+package did before datasets were stored as columns. None of these shares
+code with the package's mining, loading or generating paths. The one
+exception is the reference sweep: it calls the package's miners afresh
+for every threshold, as the sweep did before it grew one tree and ran one
+redundancy pass for all.
 """
 
 import csv
@@ -18,6 +19,7 @@ import random
 from datetime import datetime
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Iterable
 
 from behavrules.datamodel import (
     ConfigError,
@@ -38,6 +40,7 @@ from behavrules.ingest import (
     derive_behavior,
 )
 from behavrules.serialize import BEHAVIOR_COLUMN
+from behavrules.synth import CONFIDENCE_SLACK, GenerationError, PlantedRuleSpec
 
 GAIN_TOLERANCE = 1e-12
 
@@ -414,3 +417,90 @@ def reference_load_log(path, mapping, seg, strict=False):
     summary.loaded = len(instances)
     summary.cardinalities = {name: len(domains[name]) for name in attr_names}
     return schema, instances, summary
+
+
+# synth.generate as it was when it built two Instances per row, probed them
+# with Instance.matches and validated the rows with Dataset.create
+def reference_generate(
+    schema: ContextSchema,
+    specs: Iterable[PlantedRuleSpec],
+    n: int,
+    seed: int,
+) -> Dataset:
+    """Deterministic dataset of n instances realizing the planted rules.
+
+    Instances matching a spec's antecedent get the consequent class for an
+    exact quota of round(target * quota) of them; remaining instances draw
+    uniform context values that match no spec antecedent, with uniform
+    classes.
+    """
+    specs = list(specs)
+    if n < 1:
+        raise GenerationError("n must be >= 1, got %d" % n)
+    for spec in specs:
+        for attr, val in spec.antecedent:
+            if val not in schema.domain(attr):
+                raise GenerationError("spec condition %s=%s not in schema" % (attr, val))
+        if spec.consequent not in schema.behavior_classes:
+            raise GenerationError("spec consequent %r not in schema" % spec.consequent)
+
+    rng = random.Random(seed)
+    classes = sorted(schema.behavior_classes)
+    quotas = [round(spec.weight * n) for spec in specs]
+    if sum(quotas) > n:
+        raise GenerationError(
+            "quotas sum to %d but only %d instances requested" % (sum(quotas), n)
+        )
+    if any(q == 0 for q in quotas):
+        raise GenerationError("a planted rule's quota rounded to zero; raise n or weight")
+
+    instances: list[Instance] = []
+    for spec, quota in zip(specs, quotas):
+        positives = round(float(spec.target_confidence) * quota)
+        realized = Fraction(positives, quota)
+        if abs(realized - spec.target_confidence) > CONFIDENCE_SLACK:
+            raise GenerationError(
+                "quota %d too small to realize confidence %s within 2pp"
+                % (quota, spec.target_confidence)
+            )
+        fixed = dict(spec.antecedent)
+        others = [c for c in classes if c != spec.consequent]
+        foreign = [s.antecedent for s in specs if s is not spec]
+        for i in range(quota):
+            for _attempt in range(10000):
+                values = {}
+                for attr, domain in schema.attributes:
+                    values[attr] = fixed.get(attr) or rng.choice(domain)
+                # overlap with another planted antecedent would skew its
+                # realized confidence
+                probe = Instance(values, spec.consequent)
+                if not any(probe.matches(a) for a in foreign):
+                    break
+            else:
+                raise GenerationError(
+                    "could not draw instances for %s avoiding other planted antecedents"
+                    % (spec.antecedent,)
+                )
+            if i < positives:
+                behavior = spec.consequent
+            else:
+                behavior = rng.choice(others) if others else spec.consequent
+            instances.append(Instance(values, behavior))
+
+    antecedents = [spec.antecedent for spec in specs]
+    for _ in range(n - sum(quotas)):
+        for _attempt in range(10000):
+            values = {
+                attr: rng.choice(domain) for attr, domain in schema.attributes
+            }
+            probe = Instance(values, classes[0])
+            if not any(probe.matches(a) for a in antecedents):
+                break
+        else:
+            raise GenerationError(
+                "could not draw background instances avoiding the planted antecedents"
+            )
+        instances.append(Instance(values, rng.choice(classes)))
+
+    rng.shuffle(instances)
+    return Dataset.create(schema, instances)

@@ -445,13 +445,14 @@ class TestPipeline:
         log, dataset = tmp_path / "log.csv", tmp_path / "dataset.csv"
         mapping = tmp_path / "map.conf"
         mapping.write_text(MAPPING_TEXT)
-        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
 
         def no_rows(*args, **kwargs):
             raise AssertionError("an Instance was built")
 
         monkeypatch.setattr(Instance, "__init__", no_rows)
         for argv in (
+            ["gen", "--spec", str(spec), "--out", str(log)],
+            ["selftest"],
             ["ingest", str(log), "--mapping", str(mapping), "--out", str(dataset)],
             ["rank", str(dataset)],
             ["mine-agt", str(dataset), "--min-conf", "80", "--dot", str(tmp_path / "t.dot")],

@@ -149,6 +149,13 @@ class TestRuleStats:
             rule_stats(demo_dataset(), [], "Snoozed")
 
     def test_confidence_bounds_and_anti_monotone_support(self):
+        def counted(stats):
+            return stats.support, stats.coverage
+
+        def row_count(ds, conditions, cls):
+            covered = [inst for inst in ds.instances if inst.matches(conditions)]
+            return sum(inst.behavior == cls for inst in covered), len(covered)
+
         rng = random.Random(23)
         for _ in range(100):
             ds = random_dataset(rng)
@@ -156,7 +163,16 @@ class TestRuleStats:
             attr = rng.choice(names)
             val = rng.choice(ds.schema.domain(attr))
             cls = rng.choice(sorted(ds.schema.behavior_classes))
+            # the column scan agrees with the row view: no conditions, and
+            # conditions in schema order, reversed and shuffled
+            chosen = set(rng.sample(names, rng.randint(1, len(names))))
+            conditions = [(a, rng.choice(ds.schema.domain(a))) for a in names if a in chosen]
+            shuffled = rng.sample(conditions, len(conditions))
+            for conds in ([], conditions, conditions[::-1], shuffled):
+                assert counted(rule_stats(ds, conds, cls)) == row_count(ds, conds, cls)
+            assert rule_stats(ds, [], cls).coverage == len(ds)
             base = rule_stats(ds, [(attr, val)], cls)
+            assert counted(base) == row_count(ds, [(attr, val)], cls)
             if base.covered:
                 assert 0 <= base.confidence <= 1
                 assert base.support <= base.coverage

@@ -213,6 +213,22 @@ def test_skip_reasons_name_the_file_line(tmp_path):
         load_log(str(path), mapping, strict=True)
 
 
+def test_summary_keeps_the_first_skip_reasons_and_counts_every_skip(tmp_path):
+    path = tmp_path / "log.csv"
+    bad = ["2004-09-17 09:30:00,incoming,%d.5,Boss\n" % k for k in range(25)]
+    path.write_text(
+        "timestamp,call_type,duration,relation\n"
+        + "".join(bad)
+        + "2004-09-17 09:30:00,incoming,42,Boss\n"
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    _, summary = load_log(str(path), mapping)
+    _, _, every = reference_load_log(str(path), mapping, SegmentationConfig())
+    assert len(every.skip_reasons) == every.skipped == summary.skipped == 25
+    assert summary.skip_reasons == every.skip_reasons[:20]
+    assert str(summary) == str(every)
+
+
 def test_last_duplicate_header_wins(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(

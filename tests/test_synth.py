@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behavrules.agt import MiningConfig, build_tree, extract_rules
 from behavrules.datamodel import ContextSchema, rule_stats
 from behavrules.ingest import ColumnMapping, load_log
 from behavrules.synth import GenerationError, PlantedRuleSpec, generate, write_log
+
+from oracles import reference_generate
 
 SCHEMA = ContextSchema.create(
     [
@@ -91,6 +95,55 @@ class TestGenerate:
             if r.consequent == "Reject" and r.antecedent <= planted
         ]
         assert hits, "planted rule (or a generalization) not recovered"
+
+
+@st.composite
+def generation_args(draw):
+    """A random schema, 0-3 planted specs, n and seed.
+
+    Specs may overlap or repeat an attribute; now and then one is empty,
+    names a value outside its attribute's domain or an unknown class.
+    """
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    domains = [
+        ["v%d" % j for j in range(draw(st.integers(1, 4)))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    classes = ["c%d" % j for j in range(draw(st.integers(1, 4)))]
+    schema = ContextSchema.create([("a%d" % i, d) for i, d in enumerate(domains)], classes)
+
+    def condition():
+        i = draw(st.integers(0, len(domains) - 1))
+        return "a%d" % i, "zz" if rarely() else draw(st.sampled_from(domains[i]))
+
+    specs = [
+        PlantedRuleSpec(
+            tuple(condition() for _ in range(0 if rarely() else draw(st.integers(1, 3)))),
+            "cX" if rarely() else draw(st.sampled_from(classes)),
+            draw(st.fractions(Fraction(1, 20), 1, max_denominator=20)),
+            draw(st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0])),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return schema, specs, draw(st.integers(1, 300)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=generation_args())
+def test_generate_matches_the_row_object_reference(args):
+    try:
+        want = reference_generate(*args)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError) as got:
+            generate(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = generate(*args)
+    assert got.columns == want.columns
+    assert got.behaviors == want.behaviors
 
 
 class TestWriteLog:
