@@ -6,14 +6,14 @@ is a list of ascending row ids: precedence.split tallies it once per
 remaining attribute, and only the chosen attribute's rows are sorted
 into the children's lists. Growth does not depend on the confidence
 threshold: a node is a leaf when it is pure or its contexts are
-exhausted. The threshold only decides the REDUNDANT marks and which
-rules are extracted, and one walk does both: extract_rules rewrites
-every node's mark for its config as it collects the rules, so one grown
-tree can be extracted at any number of thresholds. A child whose
-dominant class equals its parent's is REDUNDANT when both confidences
-meet the threshold; redundant nodes emit no rule but their subtrees are
-still explored, so a deviating grandchild can surface. Threshold tests
-are exact integer cross-multiplications.
+exhausted. A child whose dominant class equals its parent's is REDUNDANT
+when both confidences meet the threshold; redundant nodes emit no rule
+but their subtrees are still explored, so a deviating grandchild can
+surface. extract_rules rewrites every node's mark for its config as it
+collects the rules, so one grown tree can be extracted at any threshold,
+and rule_intervals gives the threshold interval on which each node's
+rule is emitted, which the sweep counts. Threshold tests are exact
+integer cross-multiplications. Growth and walks keep explicit stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .datamodel import (
     Rule,
     threshold_terms,
 )
-from .precedence import rank_contexts, rank_splits, split
+from .precedence import rank_splits, split
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,11 @@ class AgtNode:
 
     def walk(self):
         """Depth-first preorder over the whole tree, redundant nodes included."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += node.children[::-1]
 
 
 def _dominant(counts: dict[str, int]) -> str:
@@ -89,47 +91,42 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     if not contexts:
         raise ConfigError("schema has no context attributes")
 
-    global_order: Optional[tuple[str, ...]] = None
-    if global_ranking:
-        global_order = rank_contexts(ds, contexts).attributes
-
+    global_order: Optional[list[str]] = None  # the root's ranking, in global mode
     values = ds.codes.values
     next_id = 1
+    top: list[AgtNode] = []
 
-    # rows are this node's row ids, ascending, and counts their class
-    # counts, which the parent's split already took
-    def grow(rows, counts, branch, remaining) -> AgtNode:
-        nonlocal next_id
+    # nodes to make; children go on last first, so ids follow preorder
+    stack = [(range(len(ds)), 0, len(ds), ds.class_counts(), None, contexts, top)]
+    while stack:
+        ordered, start, end, counts, branch, remaining, siblings = stack.pop()
         dominant = _dominant(counts)
-        node = AgtNode(
-            node_id=next_id,
-            branch=branch,
-            dominant_behavior=dominant,
-            support=counts[dominant],
-            size=sum(counts.values()),
-        )
+        node = AgtNode(next_id, branch, dominant, counts[dominant], end - start)
         next_id += 1
+        siblings.append(node)
 
         if node.support == node.size or not remaining:
-            return node  # pure node or exhausted contexts: leaf
+            continue  # pure node or exhausted contexts: leaf
 
-        if global_order is not None:
-            best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
+        rows = ordered[start:end]
+        if global_order is None:
+            splits = rank_splits(ds, rows, counts, remaining)
+            best = splits[0]
+            if global_ranking:
+                global_order = [s.attr for s in splits]
         else:
-            best = rank_splits(ds, rows, counts, remaining)[0]
+            best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
         node.split_attribute = best.attr
         rest = [a for a in remaining if a != best.attr]
         # a stable sort groups the rows by value in domain order, the
         # children's order, and keeps each group ascending
         ordered = sorted(rows, key=values[best.attr].__getitem__)
-        start = 0
-        for val, child_counts in best.children:
-            end = start + sum(child_counts.values())
-            node.children.append(grow(ordered[start:end], child_counts, (best.attr, val), rest))
-            start = end
-        return node
-
-    return grow(range(len(ds)), ds.class_counts(), None, contexts)
+        end = len(ordered)
+        for val, sub in reversed(best.children):
+            start = end - sum(sub.values())
+            stack.append((ordered, start, end, sub, (best.attr, val), rest, node.children))
+            end = start
+    return top[0]
 
 
 def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
@@ -149,7 +146,9 @@ def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     found: list[tuple[int, Rule]] = []
 
     # anchor: the ancestor a qualifying node is compared against, or None
-    def visit(node: AgtNode, anchor: Optional[AgtNode], path: tuple[Condition, ...]):
+    stack: list[tuple[AgtNode, Optional[AgtNode], tuple[Condition, ...]]] = [(root, None, ())]
+    while stack:
+        node, anchor, path = stack.pop()
         meets = node.support * den >= num * node.size
         node.redundant = (
             meets and anchor is not None
@@ -173,10 +172,9 @@ def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
             anchor = node
         elif not strict:
             anchor = None
-        for child in node.children:
-            visit(child, anchor, path)
-
-    visit(root, None, ())
+        if node.children:  # most nodes are leaves
+            for child in reversed(node.children):
+                stack.append((child, anchor, path))
     found.sort(key=lambda pair: pair[0])
     return [rule for _, rule in found]
 
@@ -197,6 +195,24 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     threshold the tree was marked for before.
     """
     return _mark_and_extract(root, cfg)
+
+
+def rule_intervals(root: AgtNode, min_support: int) -> list[tuple[tuple, tuple]]:
+    """The threshold interval (lo, hi] of each non-root node with support >= min_support.
+
+    The node's rule is emitted at t exactly when lo < t <= hi. Each end is a
+    (support, size) pair: hi is the node's own, lo its parent's when the two
+    share a dominant class, else (0, 1). This is the REDUNDANT rule that
+    _mark_and_extract applies with strict_redundancy=False.
+    """
+    found = []
+    for node in root.walk():
+        for child in node.children:
+            if child.support >= min_support:
+                same = child.dominant_behavior == node.dominant_behavior
+                lo = (node.support, node.size) if same else (0, 1)
+                found.append((lo, (child.support, child.size)))
+    return found
 
 
 def tree_to_dot(root: AgtNode) -> str:

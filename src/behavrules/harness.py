@@ -1,4 +1,8 @@
-"""Threshold sweeps comparing the tree miner against the Apriori baseline."""
+"""Threshold sweeps comparing the tree miner against the Apriori baseline.
+
+Each rule either miner emits is emitted on one threshold interval, so a
+sweep mines once and counts, per threshold, the intervals that hold it.
+"""
 
 from __future__ import annotations
 
@@ -38,6 +42,12 @@ def parse_threshold(text: str) -> Fraction:
     return value
 
 
+def _count(intervals, t: Fraction) -> int:
+    """How many intervals (lo, hi], each end a (support, coverage) pair, hold t."""
+    num, den = threshold_terms(t)
+    return sum(ls * den < num * lc and s * den >= num * c for (ls, lc), (s, c) in intervals)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     threshold: Fraction
@@ -69,10 +79,9 @@ def sweep(
         if not (increasing or decreasing):
             raise ConfigError("thresholds must be strictly increasing or decreasing")
 
-    # the baseline rule space is complete, so rules at any threshold are
-    # the confidence-filtered rules of the lowest one: mine it once. Among
-    # those, a rule is redundant at t exactly when its shadow meets t.
-    counts = []
+    # the baseline rule space is complete, so the CARs at any threshold are
+    # among those of the lowest one: mine it once. A CAR counts on (0, c]
+    # and is kept after filtering on (shadow confidence, c].
     baseline_error = None
     if thresholds:
         try:
@@ -80,33 +89,23 @@ def sweep(
         except (ValueError, ArithmeticError) as exc:
             baseline_error = exc
         else:
-            shadows = apriori.shadows(cars)
-            for t in thresholds:
-                num, den = threshold_terms(t)
-                base = kept = 0
-                for rule, shadow in zip(cars, shadows):
-                    if rule.support * den >= num * rule.coverage:
-                        base += 1
-                        if shadow is None or shadow[0] * den < num * shadow[1]:
-                            kept += 1
-                counts.append((base, kept))
-            del cars, shadows  # not held while the tree grows
+            base = [((0, 1), (r.support, r.coverage)) for r in cars]
+            kept = [(s or (0, 1), hi) for s, (_, hi) in zip(apriori.shadows(cars), base)]
+            del cars  # only integer pairs are held while the tree grows
 
-    # the tree's shape does not depend on the threshold: grow it once;
-    # extract_rules re-marks it for each threshold
-    root = None
+    # the tree's shape does not depend on the threshold: grow it once
+    tree = None
     rows = []
-    for i, t in enumerate(thresholds):
+    for t in thresholds:
         try:
             if baseline_error is not None:
                 raise baseline_error
-            base, kept = counts[i]
-            removed_ratio = Fraction(base - kept, base) if base else Fraction(0)
             cfg = agt.MiningConfig(t, min_support)
-            if root is None:
-                root = agt.build_tree(ds, cfg)
-            agt_rules = agt.extract_rules(root, cfg)
-            rows.append(SweepRow(t, base, len(agt_rules), removed_ratio))
+            if tree is None:
+                tree = agt.rule_intervals(agt.build_tree(ds, cfg), min_support)
+            n_base, n_kept = _count(base, t), _count(kept, t)
+            removed_ratio = Fraction(n_base - n_kept, n_base) if n_base else Fraction(0)
+            rows.append(SweepRow(t, n_base, _count(tree, t), removed_ratio))
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(t, None, None, None, error=str(exc)))
     return SweepReport(ds.fingerprint(), min_support, tuple(rows))

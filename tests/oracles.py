@@ -7,8 +7,9 @@ encoder and generator build one dict and one Instance per row, as the
 package did before datasets were stored as columns. None of these shares
 code with the package's mining, loading or generating paths. The one
 exception is the reference sweep: it calls the package's miners afresh
-for every threshold, as the sweep did before it grew one tree and ran one
-redundancy pass for all.
+for every threshold and counts the rules they return, where the sweep
+counts each rule's threshold interval from one tree and one redundancy
+pass.
 """
 
 import csv
@@ -103,7 +104,8 @@ def reference_sweep(ds, thresholds, min_support=1):
 
     The baseline rules are mined once at the lowest threshold, then each
     threshold filters them by confidence and runs the pairwise redundancy
-    filter, and grows and extracts a fresh tree.
+    filter, and grows and extracts a fresh tree; each column is the length
+    of a rule list, not a count of intervals.
     """
     from behavrules import agt, apriori
     from behavrules.harness import SweepReport, SweepRow

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -92,6 +94,19 @@ class TestBuildTree:
             MiningConfig(Fraction(3, 2))
         with pytest.raises(ConfigError):
             MiningConfig(Fraction(1, 2), min_support=0)
+
+    def test_growth_leaves_no_cycle_holding_the_dataset(self):
+        # the dataset is freed when the caller drops it, without the cyclic GC
+        ds = demo_dataset()
+        ref = weakref.ref(ds)
+        gc.disable()
+        try:
+            root = build_tree(ds, T75)
+            del ds
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert root.children
 
     def test_trees_are_deterministic(self):
         rng = random.Random(31)
@@ -197,6 +212,22 @@ class TestProperties:
         assert root.split_attribute == "Relation"
         friend = root.children[1]
         assert friend.split_attribute == "Activity"
+
+    def test_global_ranking_splits_the_root_once_per_attribute(self, monkeypatch):
+        from behavrules import agt, precedence
+
+        ds = demo_dataset()
+        sizes = []
+        for module in (agt, precedence):
+
+            def counted(ds, rows, counts, attr, split=module.split):
+                sizes.append(len(rows))
+                return split(ds, rows, counts, attr)
+
+            monkeypatch.setattr(module, "split", counted)
+        build_tree(ds, MiningConfig(Fraction(3, 4), global_ranking=True))
+        # the ranking's own splits of the root; no child holds every row
+        assert sizes.count(len(ds)) == len(ds.schema.attribute_names)
 
     def test_strict_redundancy_checks_nearest_qualifying_ancestor(self):
         # grandparent and grandchild agree at threshold, parent dips below

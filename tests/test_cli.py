@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -75,6 +76,21 @@ class TestMining:
         out = capsys.readouterr().out
         assert out.count("=>") == 3
         assert dot.read_text().startswith("digraph agt {")
+
+    def test_deep_tree_mines_under_a_low_recursion_limit(self, tmp_path, capsys):
+        # 300 constant columns over classes A/B/A/B grow a chain 301 nodes deep
+        header = ",".join("a%d" % i for i in range(300)) + ",behavior"
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([header] + [",".join(["x"] * 300 + [c]) for c in "ABAB"]))
+        dot = tmp_path / "tree.dot"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            code = main(["mine-agt", str(path), "--min-conf", "50", "--dot", str(dot)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        assert dot.read_text().count(" -> ") == 300
 
     def test_jsonl_output(self, demo_csv, capsys):
         code = main(["mine-agt", demo_csv, "--min-conf", "0.75", "--format", "jsonl"])

@@ -1,11 +1,12 @@
 """The miners against the row-scanning references in oracles.py, and the
-one-pass sweep against one independent run per threshold.
+interval-counting sweep against one independent run per threshold.
 
 Apriori counts with row bitsets and the tree tallies row-id lists; the
 references filter instance lists and enumerate condition sets."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -193,19 +194,42 @@ def edge_datasets(draw):
     return Dataset.create(schema, [Instance({}, "c0")] * draw(st.integers(1, 3)))
 
 
+def _breakpoints(ds):
+    """Every tree node and CAR confidence of ds: the ends of every rule's interval.
+
+    They include every parent confidence and every shadow's, which is a
+    CAR's.
+    """
+    points = {Fraction(s, c) for _, _, s, c in brute_force_cars(ds, Fraction(0))}
+    if len(ds) and ds.schema.attribute_names:
+        points |= {n.confidence for n in reference_tree(ds, agt.MiningConfig(Fraction(1))).walk()}
+    return points
+
+
+@st.composite
+def sweep_cases(draw):
+    """A dataset and thresholds: arbitrary ones, or its breakpoints and the midpoints between."""
+    ds = draw(st.one_of(datasets(), datasets(), datasets(), edge_datasets()))  # 1 in 4 edge
+    points = sorted(_breakpoints(ds) | {Fraction(1)})
+    between = [(a + b) / 2 for a, b in zip([Fraction(0)] + points, points)]
+    at_breakpoints = st.lists(st.sampled_from(points + between), max_size=8, unique=True)
+    return ds, draw(st.one_of(SWEEP_THRESHOLDS, at_breakpoints.map(sorted)))
+
+
 @SETTINGS
-@given(
-    ds=st.one_of(datasets(), datasets(), datasets(), edge_datasets()),  # 1 in 4 edge cases
-    thresholds=SWEEP_THRESHOLDS,
-    decreasing=st.booleans(),
-    min_support=st.integers(0, 4),
-)
-def test_sweep_matches_one_run_per_threshold(ds, thresholds, decreasing, min_support):
+@given(case=sweep_cases(), decreasing=st.booleans(), min_support=st.integers(0, 4))
+def test_sweep_matches_one_run_per_threshold(case, decreasing, min_support):
+    ds, thresholds = case
     if decreasing:
         thresholds.reverse()
-    assert harness.sweep(ds, thresholds, min_support) == reference_sweep(
-        ds, thresholds, min_support
-    )
+    with mock.patch.object(agt, "build_tree", wraps=agt.build_tree) as build, \
+            mock.patch.object(agt, "extract_rules", wraps=agt.extract_rules) as extract:
+        report = harness.sweep(ds, thresholds, min_support)
+    assert report == reference_sweep(ds, thresholds, min_support)
+    # the sweep counts rule intervals of one tree; it extracts nothing
+    assert extract.call_count == 0
+    if any(row.error is None for row in report.rows):
+        assert build.call_count == 1
 
 
 @SETTINGS
