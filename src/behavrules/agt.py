@@ -129,8 +129,10 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     return top[0]
 
 
-def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
-    """Rewrite every node's REDUNDANT flag for cfg and collect its rules, in one walk.
+def _mark_and_extract(
+    root: AgtNode, cfg: MiningConfig,
+) -> list[tuple[int, tuple[Condition, ...], AgtNode]]:
+    """Rewrite every node's REDUNDANT flag for cfg and collect its rule nodes, in one walk.
 
     A node is REDUNDANT when its confidence and its anchor's both meet the
     threshold and both have the same dominant class. The anchor is the
@@ -139,11 +141,11 @@ def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     A non-root node generates a rule when its confidence meets the
     threshold, its support meets min_support, it is not REDUNDANT, and its
     class passes the optional filter. Descendants of redundant nodes are
-    still visited.
+    still visited. Returns (node id, path conditions, node) per rule node.
     """
     num, den = threshold_terms(cfg.confidence_threshold)
     strict = cfg.strict_redundancy
-    found: list[tuple[int, Rule]] = []
+    found: list[tuple[int, tuple[Condition, ...], AgtNode]] = []
 
     # anchor: the ancestor a qualifying node is compared against, or None
     stack: list[tuple[AgtNode, Optional[AgtNode], tuple[Condition, ...]]] = [(root, None, ())]
@@ -161,13 +163,7 @@ def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
                 and node.support >= cfg.min_support
                 and (cfg.class_filter is None or node.dominant_behavior in cfg.class_filter)
             ):
-                rule = Rule(
-                    antecedent=frozenset(path),
-                    consequent=node.dominant_behavior,
-                    support=node.support,
-                    coverage=node.size,
-                )
-                found.append((node.node_id, rule))
+                found.append((node.node_id, path, node))
         if meets:
             anchor = node
         elif not strict:
@@ -175,8 +171,7 @@ def _mark_and_extract(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
         if node.children:  # most nodes are leaves
             for child in reversed(node.children):
                 stack.append((child, anchor, path))
-    found.sort(key=lambda pair: pair[0])
-    return [rule for _, rule in found]
+    return found
 
 
 def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
@@ -194,7 +189,12 @@ def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
     The result depends only on the tree's shape and cfg, whatever
     threshold the tree was marked for before.
     """
-    return _mark_and_extract(root, cfg)
+    found = _mark_and_extract(root, cfg)
+    found.sort(key=lambda entry: entry[0])
+    return [
+        Rule(frozenset(path), node.dominant_behavior, node.support, node.size)
+        for _, path, node in found
+    ]
 
 
 def rule_intervals(root: AgtNode, min_support: int) -> list[tuple[tuple, tuple]]:

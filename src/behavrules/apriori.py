@@ -2,16 +2,16 @@
 
 Itemsets range over context conditions only; behavior classes appear only
 as rule consequents, which keeps the rule space directly comparable with
-the tree miner's output.
+the tree miner's output. One level-wise pass finds the frequent itemsets
+and, while each one's rows are in hand, its support in every class, so
+rule generation only compares counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from operator import and_
+from itertools import combinations, groupby
 from typing import Optional
 
 from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
@@ -21,57 +21,65 @@ from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
 class FrequentItemset:
     items: frozenset[Condition]
     support: int  # number of instances matching every condition
+    # instances matching every condition, per class in sorted-label order
+    class_supports: tuple[int, ...]
 
 
 def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     """Level-wise frequent itemset mining over context conditions.
 
-    Candidates joining two conditions on the same attribute are skipped
-    outright (single-valued nominal data gives them zero coverage), and
-    any candidate with an infrequent subset is pruned before counting.
-    Counting is vertical: a candidate's rows are its prefix's rows ANDed
-    with its last condition's rows (see Dataset.bits).
+    Output is level-wise, then by sorted conditions. Itemsets sharing a
+    prefix are bucketed by their last condition's attribute, and each is
+    joined only with those of later buckets: two values of one attribute
+    never co-occur in single-valued nominal data, so same-attribute pairs
+    are never formed. A candidate with an infrequent subset is pruned
+    before counting. Counting is vertical: a candidate's rows are its
+    prefix's rows ANDed with its last condition's rows (see Dataset.bits),
+    and each frequent itemset's class supports are taken from the same rows.
     """
     if min_support < 1:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
 
     conditions = ds.bits.conditions
-    singles = sorted((cond,) for cond in conditions)
+    classes = list(ds.bits.classes.values())
+    result: list[FrequentItemset] = []
+
+    def frequent(itemset, rows, cov):
+        supports = tuple([(rows & cls_rows).bit_count() for cls_rows in classes])
+        return FrequentItemset(frozenset(itemset), cov, supports)
 
     # itemsets are kept as sorted condition tuples and each level, a dict
-    # from itemset to its rows, is kept sorted, so the prefix join and
-    # subset lookups line up
-    result: list[FrequentItemset] = []
+    # from itemset to its rows, is filled in sorted order, so itemsets
+    # sharing a prefix are adjacent and candidates come out sorted
     level: dict[tuple[Condition, ...], int] = {}
-    for itemset in singles:
-        rows = conditions[itemset[0]]
+    for cond in sorted(conditions):
+        rows = conditions[cond]
         cov = rows.bit_count()
         if cov >= min_support:
-            level[itemset] = rows
-            result.append(FrequentItemset(frozenset(itemset), cov))
+            level[(cond,)] = rows
+            result.append(frequent((cond,), rows, cov))
 
     while level:
-        ordered = list(level)
-        candidates = []
-        for i, left in enumerate(ordered):
-            for right in ordered[i + 1:]:
-                if left[:-1] != right[:-1]:
-                    break  # sorted level: no further shared prefix
-                if left[-1][0] == right[-1][0]:
-                    continue  # two values of one attribute never co-occur
-                candidate = left + (right[-1],)
-                if all(
-                    candidate[:j] + candidate[j + 1:] in level
-                    for j in range(len(candidate))
-                ):
-                    candidates.append(candidate)
         prefixes, level = level, {}
-        for itemset in sorted(candidates):
-            rows = prefixes[itemset[:-1]] & conditions[itemset[-1]]
-            cov = rows.bit_count()
-            if cov >= min_support:
-                level[itemset] = rows
-                result.append(FrequentItemset(frozenset(itemset), cov))
+        for _, group in groupby(prefixes, key=lambda itemset: itemset[:-1]):
+            buckets = [list(b) for _, b in groupby(group, key=lambda itemset: itemset[-1][0])]
+            for b, bucket in enumerate(buckets):
+                later = [itemset[-1] for rest in buckets[b + 1:] for itemset in rest]
+                for left in bucket:
+                    left_rows = prefixes[left]
+                    for last in later:
+                        candidate = left + (last,)
+                        # dropping either of the last two conditions gives
+                        # left or its join partner, both in the level
+                        if all(
+                            candidate[:j] + candidate[j + 1:] in prefixes
+                            for j in range(len(candidate) - 2)
+                        ):
+                            rows = left_rows & conditions[last]
+                            cov = rows.bit_count()
+                            if cov >= min_support:
+                                level[candidate] = rows
+                                result.append(frequent(candidate, rows, cov))
     return result
 
 
@@ -83,20 +91,19 @@ def generate_cars(
 ) -> list[Rule]:
     """Emit every class-association rule meeting support and confidence.
 
-    Complete over (frequent itemset) x (behavior class); output order is
-    itemset size, then sorted conditions, then class label.
+    Complete over (frequent itemset) x (behavior class), reading each
+    itemset's class_supports; output order is itemset size, then sorted
+    conditions, then class label.
     """
     ordered = sorted(
         frequent, key=lambda fi: (len(fi.items), tuple(sorted(fi.items)))
     )
     num, den = threshold_terms(threshold)
-    bits = ds.bits
+    labels = list(ds.bits.classes)  # sorted
     rules: list[Rule] = []
     for fi in ordered:
-        rows = reduce(and_, (bits.conditions[c] for c in fi.items), bits.rows)
         floor = num * fi.support  # support/coverage >= t is support*den >= floor
-        for cls, cls_rows in bits.classes.items():  # sorted labels
-            support = (rows & cls_rows).bit_count()
+        for cls, support in zip(labels, fi.class_supports, strict=True):
             if support >= min_support and support * den >= floor:
                 rules.append(Rule(fi.items, cls, support, fi.support))
     return rules
@@ -115,21 +122,24 @@ def shadows(rules: list[Rule]) -> list[Optional[tuple[int, int]]]:
     one included) and whose consequent is the same, or None when there is
     none. Among rules that meet a threshold t, a rule is redundant exactly
     when its shadow's confidence meets t as well. Each rule looks up its
-    proper antecedent subsets instead of scanning every other rule.
+    proper antecedent subsets instead of scanning every other rule. Ties
+    in confidence go to the first subset in (size, sorted conditions)
+    order, and among equal antecedents to the first rule given.
     """
-    best: dict[tuple[str, frozenset[Condition]], tuple[int, int]] = {}
+    # antecedents as sorted tuples, whose combinations are sorted tuples too
+    best: dict[tuple[str, tuple[Condition, ...]], tuple[int, int]] = {}
     for rule in rules:
-        key = (rule.consequent, rule.antecedent)
+        key = (rule.consequent, rule.sort_antecedent)
         held = best.get(key)
         if held is None or rule.support * held[1] > held[0] * rule.coverage:
             best[key] = (rule.support, rule.coverage)
     out: list[Optional[tuple[int, int]]] = []
     for rule in rules:
-        items = tuple(rule.antecedent)
+        items = rule.sort_antecedent
         shadow = None
         for k in range(len(items)):
             for sub in combinations(items, k):
-                found = best.get((rule.consequent, frozenset(sub)))
+                found = best.get((rule.consequent, sub))
                 if found is not None and (
                     shadow is None or found[0] * shadow[1] > shadow[0] * found[1]
                 ):

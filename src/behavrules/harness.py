@@ -1,12 +1,14 @@
 """Threshold sweeps comparing the tree miner against the Apriori baseline.
 
 Each rule either miner emits is emitted on one threshold interval, so a
-sweep mines once and counts, per threshold, the intervals that hold it.
+sweep mines once and counts, per threshold, the intervals that hold it,
+testing each distinct interval once.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,10 +44,17 @@ def parse_threshold(text: str) -> Fraction:
     return value
 
 
-def _count(intervals, t: Fraction) -> int:
-    """How many intervals (lo, hi], each end a (support, coverage) pair, hold t."""
+def _count(intervals: Counter, t: Fraction) -> int:
+    """How many intervals (lo, hi], each end a (support, coverage) pair, hold t.
+
+    intervals maps each distinct interval to its multiplicity; far fewer
+    intervals are distinct than there are rules.
+    """
     num, den = threshold_terms(t)
-    return sum(ls * den < num * lc and s * den >= num * c for (ls, lc), (s, c) in intervals)
+    return sum(
+        n for ((ls, lc), (s, c)), n in intervals.items()
+        if ls * den < num * lc and s * den >= num * c
+    )
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,11 @@ def sweep(
         except (ValueError, ArithmeticError) as exc:
             baseline_error = exc
         else:
-            base = [((0, 1), (r.support, r.coverage)) for r in cars]
-            kept = [(s or (0, 1), hi) for s, (_, hi) in zip(apriori.shadows(cars), base)]
+            base = Counter(((0, 1), (r.support, r.coverage)) for r in cars)
+            kept = Counter(
+                (s or (0, 1), (r.support, r.coverage))
+                for r, s in zip(cars, apriori.shadows(cars))
+            )
             del cars  # only integer pairs are held while the tree grows
 
     # the tree's shape does not depend on the threshold: grow it once
@@ -102,7 +114,7 @@ def sweep(
                 raise baseline_error
             cfg = agt.MiningConfig(t, min_support)
             if tree is None:
-                tree = agt.rule_intervals(agt.build_tree(ds, cfg), min_support)
+                tree = Counter(agt.rule_intervals(agt.build_tree(ds, cfg), min_support))
             n_base, n_kept = _count(base, t), _count(kept, t)
             removed_ratio = Fraction(n_base - n_kept, n_base) if n_base else Fraction(0)
             rows.append(SweepRow(t, n_base, _count(tree, t), removed_ratio))

@@ -71,7 +71,9 @@ def test_criterion_3_apriori_brute_force_equivalence():
     rng = random.Random(103)
     for ds in _corpus(200):
         t = Fraction(rng.randint(50, 100), 100)
-        assert rule_keys(apriori.mine(ds, t, 1)) == brute_force_cars(ds, t, 1)
+        for min_support in (1, 2, 3):
+            found = rule_keys(apriori.mine(ds, t, min_support))
+            assert found == brute_force_cars(ds, t, min_support)
     assert time.perf_counter() - start < 30.0
     _report("3: baseline equals exhaustive enumeration")
 

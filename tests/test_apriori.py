@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import behavrules
 from behavrules.apriori import (
     filter_redundant,
     generate_cars,
@@ -153,3 +158,39 @@ class TestFilterRedundant:
             ((("Activity", "Meeting"),), "Reject"),
             ((("Activity", "Meeting"), ("Relation", "Boss")), "Accept"),
         }
+
+
+# Every rule of one or two conditions over six attributes sits at 50%
+# confidence with its own (support, coverage), so each longer rule's shadow
+# is decided by which of its equally confident subsets comes first.
+TIED_SHADOWS = """
+from itertools import combinations
+from behavrules.apriori import shadows
+from behavrules.datamodel import Rule
+
+conds = [("a%d" % i, "v") for i in range(6)]
+rules = []
+for k in range(1, 5):
+    for sub in combinations(conds, k):
+        m = len(rules) + 1
+        support, coverage = (m, 2 * m) if k < 3 else (1, 1)
+        rules.append(Rule(frozenset(sub), "x", support, coverage))
+print(repr(shadows(rules)))
+"""
+
+
+class TestShadows:
+    def test_ties_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(behavrules.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", TIED_SHADOWS],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        # ties go to the first subset in (size, sorted conditions) order
+        assert outputs.pop().startswith("[None, None, None, None, None, None, (1, 2), (1, 2),")

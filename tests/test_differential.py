@@ -109,6 +109,10 @@ def test_mine_frequent_supports_match_direct_counting(min_support):
     for ds in _datasets(43, 45, ENUMERABLE):
         found = apriori.mine_frequent(ds, min_support)
         assert {fi.items: fi.support for fi in found} == direct_frequent(ds, min_support)
+        labels = sorted(ds.schema.behavior_classes)
+        for fi in found:
+            matching = [i.behavior for i in ds.instances if i.matches(tuple(fi.items))]
+            assert fi.class_supports == tuple(matching.count(cls) for cls in labels)
         keys = [(len(fi.items), sorted(fi.items)) for fi in found]
         assert keys == sorted(keys)  # level-wise, then sorted conditions
 

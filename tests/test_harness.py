@@ -1,10 +1,15 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from behavrules import agt
+import behavrules
+from behavrules import agt, apriori, serialize
 from behavrules.datamodel import ConfigError, ContextSchema
 from behavrules.fixtures import demo_dataset
 from behavrules.harness import (
@@ -118,3 +123,25 @@ class TestSweep:
         again = sweep(demo_dataset(), [Fraction(1), Fraction(3, 4)])
         assert report_to_csv(again) == csv_text
         assert report_to_json(again) == json_text
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_traced_sweep_counts_what_the_miners_return(tmp_path):
+    """The benchmark's tracer (perfbench/op.py, TRACE=1) still finds the miners."""
+    dataset = REPO / "tests" / "golden" / "dataset.csv"
+    src = Path(behavrules.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "op.py"), str(src), str(tmp_path), "1",
+         json.dumps(["sweep", str(dataset)])],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0, result["error"]
+    ds = serialize.dataset_from_csv(dataset.read_text(encoding="utf-8"))
+    frequent = apriori.mine_frequent(ds, 1)
+    cars = apriori.generate_cars(ds, frequent, min(DEFAULT_THRESHOLDS), 1)
+    assert result["layers"]["apriori.frequent_itemsets"] == len(frequent)
+    assert result["layers"]["apriori.cars"] == len(cars)
