@@ -2,24 +2,28 @@
 
 The tree is grown top-down. Each node carries the dominant behavior class
 of its instance subset and an exact-rational confidence. A node's subset
-is a list of ascending row ids: precedence.split tallies it once per
-remaining attribute, and only the chosen attribute's rows are sorted
-into the children's lists. Growth does not depend on the confidence
-threshold: a node is a leaf when it is pure or its contexts are
-exhausted. A child whose dominant class equals its parent's is REDUNDANT
-when both confidences meet the threshold; redundant nodes emit no rule
-but their subtrees are still explored, so a deviating grandchild can
-surface. extract_rules rewrites every node's mark for its config as it
-collects the rules, so one grown tree can be extracted at any threshold,
-and rule_intervals gives the threshold interval on which each node's
-rule is emitted, which the sweep counts. Threshold tests are exact
-integer cross-multiplications. Growth and walks keep explicit stacks.
+is a list of ascending distinct-row ids, each standing for as many rows
+as its multiplicity (see Dataset.codes): precedence.split tallies it
+once per remaining attribute, a node's size is the sum of its class
+counts, and only the chosen attribute's rows are sorted into the
+children's lists, unless no attribute is left to split the children.
+Growth does not depend on the confidence threshold: a node is a leaf
+when it is pure or its contexts are exhausted. A child whose dominant
+class equals its parent's is REDUNDANT when both confidences meet the
+threshold; redundant nodes emit no rule but their subtrees are still
+explored, so a deviating grandchild can surface. extract_rules rewrites
+every node's mark for its config as it collects the rules, so one grown
+tree can be extracted at any threshold, and rule_intervals gives the
+threshold interval on which each node's rule is emitted, which the sweep
+counts. Threshold tests are exact integer cross-multiplications. Growth
+and walks keep explicit stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from .datamodel import (
@@ -97,18 +101,17 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     top: list[AgtNode] = []
 
     # nodes to make; children go on last first, so ids follow preorder
-    stack = [(range(len(ds)), 0, len(ds), ds.class_counts(), None, contexts, top)]
+    stack = [(range(len(ds.codes.counts)), ds.class_counts(), None, contexts, top)]
     while stack:
-        ordered, start, end, counts, branch, remaining, siblings = stack.pop()
+        rows, counts, branch, remaining, siblings = stack.pop()
         dominant = _dominant(counts)
-        node = AgtNode(next_id, branch, dominant, counts[dominant], end - start)
+        node = AgtNode(next_id, branch, dominant, counts[dominant], sum(counts.values()))
         next_id += 1
         siblings.append(node)
 
         if node.support == node.size or not remaining:
             continue  # pure node or exhausted contexts: leaf
 
-        rows = ordered[start:end]
         if global_order is None:
             splits = rank_splits(ds, rows, counts, remaining)
             best = splits[0]
@@ -118,14 +121,15 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
             best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
         node.split_attribute = best.attr
         rest = [a for a in remaining if a != best.attr]
-        # a stable sort groups the rows by value in domain order, the
-        # children's order, and keeps each group ascending
-        ordered = sorted(rows, key=values[best.attr].__getitem__)
-        end = len(ordered)
-        for val, sub in reversed(best.children):
-            start = end - sum(sub.values())
-            stack.append((ordered, start, end, sub, (best.attr, val), rest, node.children))
-            end = start
+        if rest:
+            # a stable sort groups the rows by value in domain order, the
+            # children's order, and keeps each group ascending
+            value = values[best.attr].__getitem__
+            groups = [list(g) for _, g in groupby(sorted(rows, key=value), value)]
+        else:
+            groups = [None] * len(best.children)  # leaves: their rows are never read
+        for (val, sub), group in zip(reversed(best.children), reversed(groups)):
+            stack.append((group, sub, (best.attr, val), rest, node.children))
     return top[0]
 
 
@@ -220,7 +224,7 @@ def tree_to_dot(root: AgtNode) -> str:
     lines = ["digraph agt {", '  node [shape=box, fontname="Helvetica"];']
     for node in root.walk():
         branch = "%s=%s" % node.branch if node.branch else "root"
-        pct = float(node.confidence) * 100.0
+        pct = node.support / node.size * 100.0  # int division rounds like Fraction's float
         label = "%d | %s | %s %.0f%%" % (
             node.node_id, branch, node.dominant_behavior, pct,
         )

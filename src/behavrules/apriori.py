@@ -92,16 +92,14 @@ def generate_cars(
     """Emit every class-association rule meeting support and confidence.
 
     Complete over (frequent itemset) x (behavior class), reading each
-    itemset's class_supports; output order is itemset size, then sorted
-    conditions, then class label.
+    itemset's class_supports. frequent must be in mine_frequent's order,
+    itemset size, then sorted conditions; output keeps that order, then
+    class label.
     """
-    ordered = sorted(
-        frequent, key=lambda fi: (len(fi.items), tuple(sorted(fi.items)))
-    )
     num, den = threshold_terms(threshold)
     labels = list(ds.bits.classes)  # sorted
     rules: list[Rule] = []
-    for fi in ordered:
+    for fi in frequent:
         floor = num * fi.support  # support/coverage >= t is support*den >= floor
         for cls, support in zip(labels, fi.class_supports, strict=True):
             if support >= min_support and support * den >= floor:

@@ -7,11 +7,12 @@ all build datasets with Dataset.from_columns and no per-row objects.
 Three views are derived from the columns and cached on first use:
 `instances`, one Instance per row (its values are a plain dict, which
 callers must not mutate); `bits`, the row-id bitsets Apriori counts with
-(see RowBits); and `codes`, each row's value index and value-by-class
-code per attribute, which tree growth tallies (see RowCodes). The caches
-never change what a public method returns. The row layer (Instance,
-`instances`, Dataset(schema, instances), create, subset) serves only the
-tests and the benchmark.
+(see RowBits); and `codes`, the distinct rows with their multiplicities
+and each one's value index and value-by-class code per attribute, which
+tree growth tallies (see RowCodes). The caches never change what a
+public method returns. The row layer (Instance, `instances`,
+Dataset(schema, instances), create, subset) serves only the tests and
+the benchmark.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -166,21 +167,28 @@ class RowBits:
 
 @dataclass(frozen=True)
 class RowCodes:
-    """Per-attribute integer codes of one dataset's rows, for tree growth.
+    """Per-attribute integer codes of one dataset's distinct rows, for tree growth.
 
-    values[attr][i] is the index of row i's value in attr's domain, and
-    value_class[attr][i] is values[attr][i] * len(labels) + the index of
-    row i's class in labels, so one tally of value_class codes counts rows
-    by value and class at once.
+    A distinct row is one (context values, behavior) combination; they are
+    kept in order of first occurrence, and counts[d] is the number of
+    dataset rows equal to distinct row d. values[attr][d] is the index of
+    row d's value in attr's domain, and value_class[attr][d] is
+    values[attr][d] * len(labels) + the index of row d's class in labels,
+    so one tally of value_class codes weighted by counts counts rows by
+    value and class at once.
     """
 
     labels: tuple[str, ...]  # behavior classes, sorted
     values: dict[str, list[int]]
     value_class: dict[str, list[int]]
+    counts: list[int]  # dataset rows per distinct row
 
     @classmethod
     def encode(cls, schema: ContextSchema, columns, behaviors) -> "RowCodes":
         labels = tuple(sorted(schema.behavior_classes))
+        distinct = Counter(zip(*columns, behaviors))  # first-occurrence order
+        # the distinct rows as columns; an empty dataset has none to transpose
+        *columns, behaviors = tuple(zip(*distinct)) or ((),) * (len(columns) + 1)
         values, value_class = {}, {}
         for (name, domain), column in zip(schema.attributes, columns):
             index = {val: v for v, val in enumerate(domain)}
@@ -191,7 +199,7 @@ class RowCodes:
             }
             values[name] = list(map(index.__getitem__, column))
             value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
-        return cls(labels, values, value_class)
+        return cls(labels, values, value_class, list(distinct.values()))
 
 
 def _first_miss(values, allowed) -> int:
@@ -320,7 +328,7 @@ class Dataset:
 
     @cached_property
     def codes(self) -> RowCodes:
-        """Value and value-by-class codes of every row, built on first use."""
+        """Distinct rows, their multiplicities and codes, built on first use."""
         return RowCodes.encode(self.schema, self.columns, self.behaviors)
 
     def class_counts(self) -> dict[str, int]:
@@ -412,7 +420,7 @@ class Rule:
 
     def __str__(self) -> str:
         conds = ", ".join("%s=%s" % c for c in self.sort_antecedent) or "(any)"
-        pct = float(self.confidence) * 100.0
+        pct = self.support / self.coverage * 100.0  # int division rounds like Fraction's float
         return "%s => %s  (conf=%.1f%%, support=%d/%d)" % (
             conds, self.consequent, pct, self.support, self.coverage,
         )

@@ -3,8 +3,9 @@
 The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
-reproducible. A node's rows are a list of ascending row ids, and one
-collections.Counter over the rows' value-by-class codes (Dataset.codes)
+reproducible. A node's rows are a list of ascending distinct-row ids
+(see Dataset.codes), and one tally of their value-by-class codes, each
+weighted by the number of dataset rows its distinct row stands for,
 gives the class counts of every child of a split, so the tree can rank
 the rows of any node without building a sub-dataset.
 """
@@ -12,7 +13,6 @@ the rows of any node without building a sub-dataset.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
@@ -49,11 +49,12 @@ class Split(NamedTuple):
 
 
 def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -> Split:
-    """Partition rows, ascending row ids of ds, by attr.
+    """Partition rows, ascending distinct-row ids of ds (see Dataset.codes), by attr.
 
-    counts are the class counts of rows, in first-row order. One tally of
-    the rows' value-by-class codes (see Dataset.codes) gives every
-    child's class counts; it keeps each code's first row, so each child's
+    counts are the class counts of the dataset rows that rows stand for,
+    in first-row order. One tally of the rows' value-by-class codes,
+    weighted by their multiplicities, gives every child's class counts;
+    distinct rows keep their first occurrence's order, so each child's
     classes come in first-row order. Children are summed in domain order,
     so the gain is the same float however the rows are counted.
     """
@@ -62,8 +63,13 @@ def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -
     if n == 0:
         return Split(attr, 0.0, [])
     labels = ds.codes.labels
+    value_class, weights = ds.codes.value_class[attr], ds.codes.counts
+    tally: dict[int, int] = {}
+    for row in rows:
+        code = value_class[row]
+        tally[code] = tally.get(code, 0) + weights[row]
     by_value: dict[int, dict[str, int]] = {}
-    for code, count in Counter(map(ds.codes.value_class[attr].__getitem__, rows)).items():
+    for code, count in tally.items():
         v, b = divmod(code, len(labels))
         by_value.setdefault(v, {})[labels[b]] = count
     children = []
@@ -80,7 +86,7 @@ def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -
 
 def information_gain(ds: Dataset, attr: str) -> float:
     """Expected entropy reduction from partitioning ds by attr's values."""
-    return split(ds, range(len(ds)), ds.class_counts(), attr).gain
+    return split(ds, range(len(ds.codes.counts)), ds.class_counts(), attr).gain
 
 
 def _compare(a: Split, b: Split) -> int:
@@ -121,5 +127,5 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     """Rank candidate attributes by gain, descending; ties by name."""
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
-    splits = rank_splits(ds, range(len(ds)), ds.class_counts(), candidates)
+    splits = rank_splits(ds, range(len(ds.codes.counts)), ds.class_counts(), candidates)
     return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits))

@@ -278,6 +278,20 @@ def rule_keys(rules):
     return {(r.antecedent, r.consequent, r.support, r.coverage) for r in rules}
 
 
+def distinct_row_ids(ds):
+    """The dataset row ids of each distinct (values, behavior) row of ds.
+
+    Distinct rows come in order of first occurrence, the order of the
+    distinct-row ids that tree growth hands to precedence.split.
+    """
+    names = ds.schema.attribute_names
+    groups = {}
+    for i, inst in enumerate(ds.instances):
+        key = (tuple(inst.values[name] for name in names), inst.behavior)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def reference_row_bits(schema, instances):
     """RowBits set bit by bit from each Instance's values dict."""
     last = len(instances) - 1

@@ -1,11 +1,16 @@
 import gc
+import json
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from behavrules import apriori
+import behavrules
+from behavrules import apriori, serialize
 from behavrules.agt import (
     MiningConfig,
     build_tree,
@@ -21,7 +26,7 @@ from behavrules.datamodel import (
 )
 from behavrules.fixtures import demo_dataset, demo_schema
 
-from oracles import example_tree, random_dataset, rule_keys
+from oracles import distinct_row_ids, example_tree, random_dataset, rule_keys
 
 T75 = MiningConfig(Fraction(3, 4))
 T100 = MiningConfig(Fraction(1))
@@ -217,11 +222,13 @@ class TestProperties:
         from behavrules import agt, precedence
 
         ds = demo_dataset()
+        groups = distinct_row_ids(ds)
         sizes = []
         for module in (agt, precedence):
 
             def counted(ds, rows, counts, attr, split=module.split):
-                sizes.append(len(rows))
+                # the dataset rows that the distinct-row ids stand for
+                sizes.append(sum(len(groups[d]) for d in rows))
                 return split(ds, rows, counts, attr)
 
             monkeypatch.setattr(module, "split", counted)
@@ -261,3 +268,25 @@ class TestDotExport:
             assert "n%d [label=" % node.node_id in dot
         assert dot.count("style=dashed color=red") == 1  # the redundant node
         assert "n1 -> n2;" in dot
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_traced_mine_agt_counts_the_tree_it_grows(tmp_path):
+    """The benchmark's tracer (perfbench/op.py, TRACE=1) still finds the tree miner."""
+    dataset = REPO / "tests" / "golden" / "dataset.csv"
+    src = Path(behavrules.__file__).resolve().parents[1]
+    command = ["mine-agt", str(dataset), "--min-conf", "80", "--dot", "t.dot"]
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "op.py"), str(src), str(tmp_path), "1",
+         json.dumps(command)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0, result["error"]
+    ds = serialize.dataset_from_csv(dataset.read_text(encoding="utf-8"))
+    root = build_tree(ds, MiningConfig(Fraction(4, 5)))
+    assert result["layers"]["agt.build_tree_calls"] == 1
+    assert result["layers"]["agt.nodes"] == len(list(root.walk()))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from behavrules.datamodel import (
     ContextSchema,
@@ -196,6 +198,12 @@ class TestRule:
         rule = Rule(frozenset([("A", "x")]), "c", 4, 5)
         assert rule.confidence == Fraction(4, 5)
         assert rule.confidence >= Fraction(80, 100)
+
+    @given(st.integers(1, 10**9).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
+    def test_int_division_is_the_fractions_float(self, counts):
+        # Rule.__str__ and tree_to_dot print support / coverage, not the Fraction
+        a, b = counts
+        assert a / b == float(Fraction(a, b))
 
     def test_empty_dataset_operations_are_legal(self):
         ds = Dataset.create(demo_schema(), [])

@@ -1,23 +1,32 @@
 """The miners against the row-scanning references in oracles.py, and the
 interval-counting sweep against one independent run per threshold.
 
-Apriori counts with row bitsets and the tree tallies row-id lists; the
-references filter instance lists and enumerate condition sets."""
+Apriori counts with row bitsets and the tree tallies distinct-row lists
+weighted by their multiplicities; the references filter instance lists
+and enumerate condition sets."""
 
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behavrules import agt, apriori, harness, precedence
-from behavrules.datamodel import ContextSchema, Dataset, Instance, Rule
+from behavrules.datamodel import (
+    ConfigError,
+    ContextSchema,
+    Dataset,
+    EmptyDatasetError,
+    Instance,
+    Rule,
+)
 
 from oracles import (
     brute_force_cars,
     direct_frequent,
+    distinct_row_ids,
     random_dataset,
     reference_filter_redundant,
     reference_ranking,
@@ -93,11 +102,20 @@ def test_every_split_lists_classes_in_first_row_order(monkeypatch, global_rankin
     monkeypatch.setattr(agt, "split", recording)
     for ds in _datasets(53, 40):
         agt.build_tree(ds, agt.MiningConfig(Fraction(1), global_ranking=global_ranking))
+    groups = {}
+    for ds, ids, _, _ in calls:
+        assert len(set(ids)) == len(ids)
+        if id(ds) not in groups:
+            groups[id(ds)] = distinct_row_ids(ds)
+    # the dataset rows that each call's distinct-row ids stand for
+    calls = [
+        (ds, sorted(i for d in ids for i in groups[id(ds)][d]), counts, result)
+        for ds, ids, counts, result in calls
+    ]
     assert any(len(rows) < len(ds) for ds, rows, _, _ in calls)  # below the root too
     for ds, rows, counts, result in calls:
         # the node's instances, scanned in dataset order
-        node = [ds.instances[i] for i in sorted(set(rows))]
-        assert len(node) == len(rows)
+        node = [ds.instances[i] for i in rows]
         assert list(counts.items()) == list(_first_seen_counts(i.behavior for i in node).items())
         for val, child in result.children:
             scanned = (i.behavior for i in node if i.values[result.attr] == val)
@@ -179,6 +197,83 @@ def test_remarked_tree_matches_reference_at_last_threshold(
     assert _node_fields(root) == _node_fields(reference_tree(ds, cfg))
     assert rules == agt.extract_rules(agt.build_tree(ds, cfg), cfg)
     assert rule_keys(rules) <= brute_force_cars(ds, cfg.confidence_threshold, min_support)
+
+
+@SETTINGS
+@given(ds=datasets(), min_support=st.integers(1, 3))
+def test_mine_frequent_returns_the_order_generate_cars_needs(ds, min_support):
+    # generate_cars does not sort: its output order is its input's
+    found = apriori.mine_frequent(ds, min_support)
+    keys = [(len(fi.items), tuple(sorted(fi.items))) for fi in found]
+    assert keys == sorted(keys)
+
+
+@st.composite
+def duplicate_heavy_datasets(draw):
+    """A few distinct rows, each repeated, in any order.
+
+    Counts are skewed, all 1 (every row distinct), or all equal with every
+    class for each context (ties in class counts). One distinct row gives
+    a single row or an all-duplicates dataset.
+    """
+    pool = random_dataset(
+        draw(st.randoms(use_true_random=False)), *draw(st.sampled_from(ENUMERABLE))
+    )
+    chosen = draw(st.lists(
+        st.sampled_from(pool.instances), min_size=1, max_size=5,
+        unique_by=lambda inst: (tuple(sorted(inst.values.items())), inst.behavior),
+    ))
+    mode = draw(st.sampled_from(["skewed", "distinct", "tied"]))
+    rows = []
+    if mode == "tied":
+        for inst in chosen:
+            rows += [Instance(inst.values, c) for c in sorted(pool.schema.behavior_classes)]
+        rows *= draw(st.integers(1, 30))
+    else:
+        for inst in chosen:
+            count = 1 if mode == "distinct" else draw(st.sampled_from([1, 2, 3, 8, 40, 150]))
+            rows += [inst] * count
+    return Dataset.create(pool.schema, draw(st.permutations(rows)))
+
+
+def _rows_of(*rows):
+    schema = ContextSchema.create([("a0", ["v0", "v1"]), ("a1", ["v0", "v1"])], ["c0", "c1"])
+    return Dataset.create(
+        schema, [Instance({"a0": a0, "a1": a1}, c) for a0, a1, c in rows]
+    )
+
+
+EVERY_ROW = [(a0, a1, c) for a0 in ("v0", "v1") for a1 in ("v0", "v1") for c in ("c0", "c1")]
+
+
+@SETTINGS
+@given(ds=duplicate_heavy_datasets(), t=st.sampled_from(THRESHOLDS))
+@example(ds=_rows_of(("v0", "v1", "c0")), t=Fraction(1))  # a single row
+@example(ds=_rows_of(*[("v1", "v0", "c1")] * 50), t=Fraction(1))  # all duplicates
+@example(ds=_rows_of(*EVERY_ROW), t=Fraction(1, 2))  # all distinct, every count tied
+@example(ds=_rows_of(*EVERY_ROW * 3, *EVERY_ROW[:3] * 9), t=Fraction(3, 4))  # skewed
+def test_duplicate_heavy_trees_and_rankings_match_reference(ds, t):
+    assert ds.codes.counts == [len(ids) for ids in distinct_row_ids(ds)]
+    for global_ranking in (False, True):
+        for strict in (False, True):
+            cfg = agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
+            assert _node_fields(agt.build_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
+    names = list(ds.schema.attribute_names)
+    expected = reference_ranking(ds.schema, ds.instances, names)
+    assert precedence.rank_contexts(ds, names).entries == expected  # exact floats
+    for name, gain in expected:
+        assert precedence.information_gain(ds, name) == gain
+
+
+def test_trees_of_empty_and_attributeless_datasets_still_raise():
+    empty = Dataset.create(ContextSchema.create([("a", ["x"])], ["c0", "c1"]), [])
+    bare = Dataset.create(ContextSchema.create([], ["c0", "c1"]), [Instance({}, "c0")] * 3)
+    with pytest.raises(EmptyDatasetError, match="cannot mine an empty dataset"):
+        agt.build_tree(empty, agt.MiningConfig(Fraction(1)))
+    with pytest.raises(ConfigError, match="schema has no context attributes"):
+        agt.build_tree(bare, agt.MiningConfig(Fraction(1)))
+    assert precedence.rank_contexts(empty, ["a"]).entries == (("a", 0.0),)
+    assert precedence.rank_contexts(bare, []).entries == ()
 
 
 # thresholds outside (0, 1] and min_support 0 give error rows
