@@ -16,6 +16,11 @@ from typing import Optional
 
 from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
 
+# mine_frequent raises ConfigError rather than list more frequent itemsets than
+# this: far above the 12,749 possible ones of the benchmark's four attributes,
+# far below the 2**n - 1 of n constant columns, which no miner lists in time.
+MAX_ITEMSETS = 200_000
+
 
 @dataclass(frozen=True)
 class FrequentItemset:
@@ -45,8 +50,11 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     result: list[FrequentItemset] = []
 
     def frequent(itemset, rows, cov):
+        if len(result) == MAX_ITEMSETS:
+            raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
+                              % MAX_ITEMSETS)
         supports = tuple([(rows & cls_rows).bit_count() for cls_rows in classes])
-        return FrequentItemset(frozenset(itemset), cov, supports)
+        result.append(FrequentItemset(frozenset(itemset), cov, supports))
 
     # itemsets are kept as sorted condition tuples and each level, a dict
     # from itemset to its rows, is filled in sorted order, so itemsets
@@ -57,7 +65,7 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
         cov = rows.bit_count()
         if cov >= min_support:
             level[(cond,)] = rows
-            result.append(frequent((cond,), rows, cov))
+            frequent((cond,), rows, cov)
 
     while level:
         prefixes, level = level, {}
@@ -79,7 +87,7 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
                             cov = rows.bit_count()
                             if cov >= min_support:
                                 level[candidate] = rows
-                                result.append(frequent(candidate, rows, cov))
+                                frequent(candidate, rows, cov)
     return result
 
 

@@ -36,7 +36,7 @@ def _out_path(path: str) -> str:
 
 def _load_dataset(path: str):
     with open(path, encoding="utf-8") as fh:
-        return serialize.dataset_from_csv(fh.read())
+        return serialize.dataset_from_csv(fh)
 
 
 def _write(path, text):

@@ -1,18 +1,22 @@
 """Core categorical-data types: schema, instances, datasets, rules.
 
-Schemas, datasets and rules are frozen dataclasses. A Dataset stores its
-rows as columns: one tuple of values per attribute, in schema order, plus
-a tuple of behavior labels. The loaders, the generator and the fixtures
-all build datasets with Dataset.from_columns and no per-row objects.
-Three views are derived from the columns and cached on first use:
+Schemas, datasets and rules are frozen dataclasses. A Dataset is built
+in one of two forms. Dataset.from_columns takes one tuple of values per
+attribute, in schema order, plus a tuple of behavior labels; ingest, the
+generator and the fixtures build datasets this way, with no per-row
+objects. Dataset.from_distinct takes the distinct rows, each once in
+order of first occurrence, plus every dataset row's distinct-row id; a
+loaded dataset file is built this way, so it is its weighted distinct
+rows and never holds a value per cell. Each form's missing views are
+derived and cached on first use: `columns` and `behaviors` from the ids,
+`distinct` (the rows with their counts) from the columns. So are
 `instances`, one Instance per row (its values are a plain dict, which
 callers must not mutate); `bits`, the row-id bitsets Apriori counts with
-(see RowBits); and `codes`, the distinct rows with their multiplicities
-and each one's value index and value-by-class code per attribute, which
-tree growth tallies (see RowCodes). The caches never change what a
-public method returns. The row layer (Instance, `instances`,
-Dataset(schema, instances), create, subset) serves only the tests and
-the benchmark.
+(see RowBits); and `codes`, each distinct row's value index and
+value-by-class code per attribute, which tree growth tallies weighted by
+the counts (see RowCodes). The caches never change what a public method
+returns. The row layer (Instance, `instances`, Dataset(schema,
+instances), create, subset) serves only the tests and the benchmark.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -184,11 +188,10 @@ class RowCodes:
     counts: list[int]  # dataset rows per distinct row
 
     @classmethod
-    def encode(cls, schema: ContextSchema, columns, behaviors) -> "RowCodes":
+    def encode(cls, schema: ContextSchema, rows, counts) -> "RowCodes":
+        """Codes of distinct rows (see Dataset.distinct) and their counts."""
         labels = tuple(sorted(schema.behavior_classes))
-        distinct = Counter(zip(*columns, behaviors))  # first-occurrence order
-        # the distinct rows as columns; an empty dataset has none to transpose
-        *columns, behaviors = tuple(zip(*distinct)) or ((),) * (len(columns) + 1)
+        *columns, behaviors = _transpose(rows, len(schema.attributes) + 1)
         values, value_class = {}, {}
         for (name, domain), column in zip(schema.attributes, columns):
             index = {val: v for v, val in enumerate(domain)}
@@ -199,7 +202,12 @@ class RowCodes:
             }
             values[name] = list(map(index.__getitem__, column))
             value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
-        return cls(labels, values, value_class, list(distinct.values()))
+        return cls(labels, values, value_class, list(counts))
+
+
+def _transpose(rows, width: int) -> tuple:
+    """The columns of rows of width values each; width empty columns if no rows."""
+    return tuple(zip(*rows)) or ((),) * width
 
 
 def _first_miss(values, allowed) -> int:
@@ -239,19 +247,20 @@ def _check_columns(schema: ContextSchema, columns, behaviors) -> None:
     raise SchemaViolation("unknown behavior class %r" % behaviors[bad])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """Ordered rows sharing one schema, stored as columns.
+    """Ordered rows sharing one schema, held as columns or as distinct rows.
 
     columns holds one tuple of values per schema attribute, in schema
-    order; behaviors holds the rows' labels. Empty datasets are legal;
-    every operation on them returns an empty/zero result rather than an
-    error.
+    order; behaviors holds the rows' labels; distinct holds each distinct
+    row once with its count. A dataset built from one form derives the
+    others on first use. Two datasets are equal when their schemas and
+    rows are, whichever form they were built from. Empty datasets are
+    legal; every operation on them returns an empty/zero result rather
+    than an error.
     """
 
     schema: ContextSchema
-    columns: tuple[tuple[str, ...], ...]
-    behaviors: tuple[str, ...]
 
     def __init__(self, schema: ContextSchema, instances: Iterable[Instance]):
         """Columns of instances, which are taken as valid (see create)."""
@@ -261,18 +270,13 @@ class Dataset:
             values.append(inst.values)
             behaviors.append(inst.behavior)
         columns = tuple(tuple(v[name] for v in values) for name in schema.attribute_names)
-        self._fill(schema, columns, tuple(behaviors))
+        self._fill(schema, len(behaviors), columns=columns, behaviors=tuple(behaviors))
 
-    def _fill(self, schema, columns, behaviors) -> None:
+    def _fill(self, schema, size, **views) -> "Dataset":
+        """Set the schema, the row count and the given views, unchecked."""
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "behaviors", behaviors)
-
-    @classmethod
-    def _unchecked(cls, schema, columns, behaviors) -> "Dataset":
-        ds = cls.__new__(cls)
-        ds._fill(schema, columns, behaviors)
-        return ds
+        self.__dict__.update(views, _size=size)
+        return self
 
     @classmethod
     def create(cls, schema: ContextSchema, instances: Iterable[Instance]) -> "Dataset":
@@ -289,10 +293,58 @@ class Dataset:
         columns = tuple(map(tuple, columns))
         behaviors = tuple(behaviors)
         _check_columns(schema, columns, behaviors)
-        return cls._unchecked(schema, columns, behaviors)
+        return cls.__new__(cls)._fill(schema, len(behaviors), columns=columns, behaviors=behaviors)
+
+    @classmethod
+    def from_distinct(cls, schema: ContextSchema, rows, ids) -> "Dataset":
+        """Validate distinct rows, each its values in schema order and then its
+        behavior label; ids[i] is the index in rows of dataset row i, and
+        every row has an id.
+
+        Only the distinct rows are checked, so a bad row raises what
+        from_columns raises for its first occurrence.
+        """
+        rows = tuple(map(tuple, rows))
+        *columns, behaviors = _transpose(rows, len(schema.attributes) + 1)
+        _check_columns(schema, columns, behaviors)
+        tally = Counter(ids)
+        counts = [tally[d] for d in range(len(rows))]
+        return cls.__new__(cls)._fill(schema, len(ids), _ids=ids, distinct=(rows, counts))
 
     def __len__(self) -> int:
-        return len(self.behaviors)
+        return self._size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema, self.columns, self.behaviors) == (
+            other.schema, other.columns, other.behaviors)
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self._size))
+
+    def _expand(self, j: int) -> tuple[str, ...]:
+        """Entry j of each dataset row (-1: its behavior), from the distinct-row ids."""
+        rows, _ = self.distinct
+        return tuple(map([row[j] for row in rows].__getitem__, self._ids))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[str, ...], ...]:
+        """One tuple of values per schema attribute, in schema order."""
+        return tuple(self._expand(j) for j in range(len(self.schema.attributes)))
+
+    @cached_property
+    def behaviors(self) -> tuple[str, ...]:
+        """Each row's behavior label."""
+        return self._expand(-1)
+
+    @cached_property
+    def distinct(self) -> tuple[tuple[tuple[str, ...], ...], list[int]]:
+        """(rows, counts): each distinct row once, its values in schema order
+        and then its behavior, in order of first occurrence, and how many
+        dataset rows equal each."""
+        tally = Counter(zip(*self.columns, self.behaviors))
+        return tuple(tally), list(tally.values())
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:
@@ -312,10 +364,11 @@ class Dataset:
             raise SchemaViolation("value %r not in domain of %r" % (val, attr))
         column = self.columns[self.schema.attribute_names.index(attr)]
         rows = [i for i, v in enumerate(column) if v == val]
-        sub = self._unchecked(
+        sub = Dataset.__new__(Dataset)._fill(
             self.schema,
-            tuple(tuple(values[i] for i in rows) for values in self.columns),
-            tuple(self.behaviors[i] for i in rows),
+            len(rows),
+            columns=tuple(tuple(values[i] for i in rows) for values in self.columns),
+            behaviors=tuple(self.behaviors[i] for i in rows),
         )
         instances = self.instances
         sub.__dict__["instances"] = tuple(instances[i] for i in rows)
@@ -328,12 +381,15 @@ class Dataset:
 
     @cached_property
     def codes(self) -> RowCodes:
-        """Distinct rows, their multiplicities and codes, built on first use."""
-        return RowCodes.encode(self.schema, self.columns, self.behaviors)
+        """Codes of the distinct rows, built on first use."""
+        return RowCodes.encode(self.schema, *self.distinct)
 
     def class_counts(self) -> dict[str, int]:
         """Instances per behavior class, in order of each class's first instance."""
-        return dict(Counter(self.behaviors))
+        counts: dict[str, int] = {}
+        for row, n in zip(*self.distinct):
+            counts[row[-1]] = counts.get(row[-1], 0) + n
+        return counts
 
     def fingerprint(self) -> str:
         return "%d:%s" % (len(self), self.schema.fingerprint())

@@ -1,10 +1,16 @@
-"""File formats: canonical dataset CSV, rule text, and JSON-lines rules."""
+"""File formats: canonical dataset CSV, rule text, and JSON-lines rules.
+
+A dataset file loads as its weighted distinct rows (Dataset.from_distinct):
+a row is kept at its first occurrence, and each copy adds only its id.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+from array import array
+from typing import TextIO
 
 from .datamodel import ContextSchema, Dataset, Rule, SchemaViolation
 
@@ -24,9 +30,14 @@ def dataset_to_csv(ds: Dataset) -> str:
     return buf.getvalue()
 
 
-def dataset_from_csv(text: str) -> Dataset:
-    """Rebuild a dataset; domains take first-observation order."""
-    reader = csv.reader(io.StringIO(text))
+def dataset_from_csv(source: str | TextIO) -> Dataset:
+    """Rebuild a dataset from file text or an open text file.
+
+    Domains and classes take first-observation order. A file is read as
+    it was opened: the CLI opens it as UTF-8 with universal newlines, so
+    a quoted CR LF inside a cell reads as LF.
+    """
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     try:
         header = next(reader)
     except StopIteration:
@@ -36,25 +47,26 @@ def dataset_from_csv(text: str) -> Dataset:
     if header.count(BEHAVIOR_COLUMN) > 1:
         raise SchemaViolation("dataset file names the %r column more than once" % BEHAVIOR_COLUMN)
     behavior_idx = header.index(BEHAVIOR_COLUMN)
-    # one list per file column, filled as rows arrive: keeping every row
-    # list for a transpose makes the cyclic GC rescan them all
-    columns: list[list[str]] = [[] for _ in header]
+    index: dict[tuple[str, ...], int] = {}  # distinct row -> id, first occurrence order
+    ids = array("I")
     for row in reader:
         if len(row) != len(header):
             if not row:
                 continue
             raise SchemaViolation("row has %d cells, expected %d" % (len(row), len(header)))
-        for column, cell in zip(columns, row):
-            column.append(cell)
-    behaviors = columns.pop(behavior_idx)
-    if not behaviors:
+        ids.append(index.setdefault(tuple(row), len(index)))
+    if not ids:
         raise SchemaViolation("dataset file has no rows")
+    rows = list(index)
+    if behavior_idx < len(header) - 1:  # move the behavior last
+        rows = [r[:behavior_idx] + r[behavior_idx + 1:] + (r[behavior_idx],) for r in rows]
+    *columns, behaviors = zip(*rows)
     attrs = [c for i, c in enumerate(header) if i != behavior_idx]
     schema = ContextSchema.create(
         [(a, dict.fromkeys(values)) for a, values in zip(attrs, columns)],
         behaviors,
     )
-    return Dataset.from_columns(schema, columns, behaviors)
+    return Dataset.from_distinct(schema, rows, ids)
 
 
 def rules_to_text(rules: list[Rule]) -> str:

@@ -29,6 +29,7 @@ from behavrules.datamodel import (
     Instance,
     Rule,
     RowBits,
+    RowCodes,
     SchemaViolation,
 )
 from behavrules.ingest import (
@@ -290,6 +291,24 @@ def distinct_row_ids(ds):
         key = (tuple(inst.values[name] for name in names), inst.behavior)
         groups.setdefault(key, []).append(i)
     return list(groups.values())
+
+
+def reference_row_codes(schema, instances):
+    """RowCodes of instances, each distinct row coded from its first Instance."""
+    labels = tuple(sorted(schema.behavior_classes))
+    first, counts = {}, {}
+    for inst in instances:
+        key = (tuple(inst.values[name] for name in schema.attribute_names), inst.behavior)
+        first.setdefault(key, inst)
+        counts[key] = counts.get(key, 0) + 1
+    values = {name: [domain.index(inst.values[name]) for inst in first.values()]
+              for name, domain in schema.attributes}
+    value_class = {
+        name: [v * len(labels) + labels.index(inst.behavior)
+               for v, inst in zip(values[name], first.values())]
+        for name in schema.attribute_names
+    }
+    return RowCodes(labels, values, value_class, list(counts.values()))
 
 
 def reference_row_bits(schema, instances):

@@ -92,6 +92,21 @@ class TestMining:
         assert code == 0
         assert dot.read_text().count(" -> ") == 300
 
+    def test_apriori_stops_at_its_itemset_bound_in_seconds(self, tmp_path, capsys):
+        # 1,200 constant columns hold 2**1200 - 1 frequent itemsets
+        from behavrules.apriori import MAX_ITEMSETS
+
+        header = ",".join("a%d" % i for i in range(1200)) + ",behavior"
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([header] + [",".join(["x"] * 1200 + [c]) for c in "ABAC"]))
+        reason = "more than %d frequent itemsets (apriori.MAX_ITEMSETS)" % MAX_ITEMSETS
+        assert main(["mine-apriori", str(path), "--min-conf", "80"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % reason
+        assert main(["sweep", str(path), "--thresholds", "90", "70"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "0.9,,,  # %s" % reason, "0.7,,,  # %s" % reason]
+
     def test_jsonl_output(self, demo_csv, capsys):
         code = main(["mine-agt", demo_csv, "--min-conf", "0.75", "--format", "jsonl"])
         assert code == 0
@@ -424,6 +439,75 @@ def test_any_dataset_file_exits_0_or_1(tmp_path, capsys, data):
     capsys.readouterr()
 
 
+LOG_COLUMNS = ["timestamp", "call_type", "duration", "Relation"]
+LOG_CELLS = {
+    "timestamp": ["2004-09-17 09:30:00", "2004-02-30 10:00:00", " 2004-9-1 8:0:0 ", "soon", ""],
+    "call_type": ["incoming", "missed", "outgoing", "Missed ", "fax", ""],
+    "duration": ["42", "0", "-1", "1e3", " 7 ", ""],
+    "Relation": ["Boss", "Friend", "", "a,b", 'say "hi"', "two\nlines", "behavior"],
+}
+LOG_FAULTS = ["drop cell", "extra cell", "empty row", "lone quote", "cr only", "nul",
+              "not utf-8", "bom", "huge cell", "header only", "no header"]
+
+
+@st.composite
+def log_bytes(draw):
+    """A call log with up to three faults: a cell dropped or added, an empty
+    row, a lone quote, bare CR line ends, a NUL, a byte that is not UTF-8,
+    a byte-order mark, a cell past csv's field limit, no rows or nothing."""
+    header = draw(st.permutations(LOG_COLUMNS + draw(st.lists(
+        st.sampled_from(["extra", "Relation", "timestamp"]), max_size=2))))
+
+    def quote(cell):
+        return '"%s"' % cell.replace('"', '""') if set(cell) & set(',"\n') else cell
+
+    rows = [[quote(draw(st.sampled_from(LOG_CELLS.get(c, ["x", ""])))) for c in header]
+            for _ in range(draw(st.integers(1, 6)))]
+    faults = draw(st.lists(st.sampled_from(LOG_FAULTS), max_size=3))
+    for fault in faults:
+        row = draw(st.sampled_from(rows)) if rows else header
+        if fault == "drop cell" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif fault == "extra cell":
+            row.append("surplus")
+        elif fault == "empty row":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault == "lone quote" and row:
+            row[draw(st.integers(0, len(row) - 1))] += '"'
+        elif fault == "huge cell" and row:
+            row[-1] = "x" * 200_000
+        elif fault == "header only":
+            rows = []
+        elif fault == "no header":
+            header, rows = [], []
+    ending = "\r" if "cr only" in faults else draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(",".join(line) for line in [header] + rows)
+    data = text.encode("utf-8")
+    cut = draw(st.integers(0, len(data)))
+    extra = {"nul": b"\x00", "not utf-8": draw(st.sampled_from([b"\xff", b"\xc3"]))}
+    for fault in faults:
+        data = data[:cut] + extra.get(fault, b"") + data[cut:]
+    return (b"\xef\xbb\xbf" if "bom" in faults else b"") + data
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=log_bytes(), strict=st.booleans())
+def test_any_call_log_file_exits_0_or_1(tmp_path, capsys, data, strict):
+    log, mapping = tmp_path / "log.csv", tmp_path / "map.conf"
+    log.write_bytes(data)
+    mapping.write_text(MAPPING_TEXT)
+    out = tmp_path / "dataset.csv"
+    argv = ["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]
+    code = main(argv + ["--strict"] if strict else argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert len(serialize.dataset_from_csv(out.read_text(encoding="utf-8"))) > 0
+
+
 class TestPipeline:
     def test_gen_ingest_round_trip_fingerprint(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -476,6 +560,46 @@ class TestPipeline:
             ["sweep", str(dataset), "--thresholds", "90", "70"],
         ):
             assert main(argv) == 0, argv
+
+    def test_rank_and_mine_agt_on_a_dataset_file_build_no_row_columns(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from behavrules.datamodel import Dataset, Instance, RowBits
+
+        spec, log, dataset = tmp_path / "spec.json", tmp_path / "log.csv", tmp_path / "ds.csv"
+        spec.write_text(json.dumps(GEN_SPEC))
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+        assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(dataset)]) == 0
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("a per-row view was built")
+
+        for name in ("columns", "behaviors", "instances"):
+            monkeypatch.setattr(Dataset, name, property(per_row))
+        monkeypatch.setattr(Instance, "__init__", per_row)
+        monkeypatch.setattr(RowBits, "encode", per_row)
+        for argv in (
+            ["rank", str(dataset)],
+            ["mine-agt", str(dataset), "--min-conf", "80", "--dot", str(tmp_path / "t.dot")],
+            ["mine-agt", str(dataset), "--min-conf", "60", "--global-ranking",
+             "--strict-redundancy", "--min-support", "3", "--format", "jsonl"],
+        ):
+            assert main(argv) == 0, argv
+
+    def test_mine_agt_reads_lf_and_crlf_files_alike(self, tmp_path, capsys):
+        from pathlib import Path
+
+        golden = (Path(__file__).parent / "golden" / "dataset.csv").read_bytes()
+        assert b"\r" not in golden
+        outputs = []
+        for name, data in (("lf", golden), ("crlf", golden.replace(b"\n", b"\r\n"))):
+            path, dot = tmp_path / (name + ".csv"), tmp_path / (name + ".dot")
+            path.write_bytes(data)
+            assert main(["mine-agt", str(path), "--min-conf", "80", "--dot", str(dot)]) == 0
+            outputs.append((capsys.readouterr().out, dot.read_bytes()))
+        assert outputs[0][0] and outputs[0] == outputs[1]
 
     def test_tree_and_ranking_build_no_bitsets(self, demo_csv, monkeypatch, capsys):
         from behavrules.datamodel import RowBits

@@ -8,6 +8,7 @@ gave; skip reasons must name the file line each record ends on.
 import csv
 import io
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +29,12 @@ from behavrules.ingest import (
 )
 from behavrules.serialize import dataset_from_csv, dataset_to_csv
 
-from oracles import reference_dataset_from_csv, reference_load_log, reference_row_bits
+from oracles import (
+    reference_dataset_from_csv,
+    reference_load_log,
+    reference_row_bits,
+    reference_row_codes,
+)
 
 SETTINGS = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -88,6 +94,92 @@ def test_dataset_from_csv_matches_row_wise_reference(text):
     assert ds.bits == reference_row_bits(schema, instances)
     assert list(ds.bits.classes) == list(reference_row_bits(schema, instances).classes)
     assert dataset_from_csv(dataset_to_csv(ds)) == ds
+
+
+# cells with no empty one and no CR: a quoted CR LF inside a cell reads as
+# LF from an open file (universal newlines) but not from text
+FILE_CELL = st.text(alphabet="ab ,\"\n", min_size=1, max_size=3)
+ROW_FAULTS = [None] * 8 + ["short", "long", "empty cell", "empty class"]
+
+
+@st.composite
+def distinct_row_files(draw):
+    """(file text, columns, behaviors) of a duplicate-heavy, an all-distinct
+    or a single-row file, now and then with one bad row (columns None)."""
+    attrs = draw(st.lists(NAME, max_size=3, unique=True))
+    b = draw(st.integers(0, len(attrs)))
+    row_of = st.tuples(*[FILE_CELL] * (len(attrs) + 1))
+    kind = draw(st.sampled_from(["duplicates", "distinct", "single"]))
+    if kind == "duplicates":
+        pool = draw(st.lists(row_of, min_size=1, max_size=3))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=30))
+    elif kind == "distinct":
+        rows = draw(st.lists(row_of, min_size=2, max_size=12, unique=True))
+    else:
+        rows = [draw(row_of)]
+    lines = [attrs[:b] + ["behavior"] + attrs[b:]]
+    lines += [list(r[:b]) + [r[-1]] + list(r[b:-1]) for r in rows]
+    fault = draw(st.sampled_from(ROW_FAULTS))
+    if fault == "short" and len(lines[0]) == 1:
+        fault = None  # a row without its one cell is a blank line, which is skipped
+    if fault is not None:
+        line = draw(st.sampled_from(lines[1:]))
+        where = draw(st.integers(0, len(line) - 1))
+        if fault == "short":
+            del line[where]
+        elif fault == "long":
+            line.append("a")
+        else:
+            line[b if fault == "empty class" else where] = ""
+    blank_after = set(draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)))
+    text = _csv_text(lines, draw(st.sampled_from(["\n", "\r\n"])), blank_after)
+    if fault is not None:
+        return text, None, None
+    return text, list(zip(*rows))[:-1], [r[-1] for r in rows]
+
+
+def _load_both_ways(text, tmp_path):
+    """dataset_from_csv of the text, and of the file opened as the CLI opens it."""
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = []
+    for entry in ("text", "file"):
+        try:
+            if entry == "text":
+                loaded.append(dataset_from_csv(text))
+            else:
+                with open(path, encoding="utf-8") as fh:
+                    loaded.append(dataset_from_csv(fh))
+        except SchemaViolation as exc:
+            loaded.append(exc)
+    return loaded
+
+
+@SETTINGS
+@given(distinct_row_files())
+def test_loading_into_distinct_rows_matches_column_built_and_reference(tmp_path, case):
+    text, columns, behaviors = case
+    try:
+        schema, instances = reference_dataset_from_csv(text)
+    except SchemaViolation as exc:
+        assert columns is None
+        for got in _load_both_ways(text, tmp_path):
+            _assert_same_failure(got, exc)
+        return
+    names = [n for n, _ in schema.attributes]
+    assert ([tuple(i.values[n] for i in instances) for n in names], [i.behavior for i in instances]
+            ) == ([tuple(c) for c in columns], behaviors)
+    built = Dataset.from_columns(schema, columns, behaviors)
+    codes = reference_row_codes(schema, instances)
+    class_counts = list(Counter(behaviors).items())  # first-occurrence order
+    assert built.codes == codes and list(built.class_counts().items()) == class_counts
+    for ds in _load_both_ways(text, tmp_path):
+        assert ds == built and ds.schema == schema and len(ds) == len(built)
+        assert ds.codes == codes  # labels, values, value_class, counts
+        assert list(ds.class_counts().items()) == class_counts
+        assert ds.columns == built.columns and ds.behaviors == built.behaviors
+        assert ds.instances == built.instances == tuple(instances)
+        assert ds.distinct == built.distinct
 
 
 STAMPS = st.one_of(
