@@ -5,8 +5,9 @@ of its instance subset and an exact-rational confidence. A node's subset
 is a list of ascending distinct-row ids, each standing for as many rows
 as its multiplicity (see Dataset.codes): precedence.split tallies it
 once per remaining attribute, a node's size is the sum of its class
-counts, and only the chosen attribute's rows are sorted into the
-children's lists, unless no attribute is left to split the children.
+counts, and only the chosen attribute's rows are partitioned into the
+children's lists (see RowCodes.partition), unless no attribute is left
+to split the children.
 Growth does not depend on the confidence threshold: a node is a leaf
 when it is pure or its contexts are exhausted. A child whose dominant
 class equals its parent's is REDUNDANT when both confidences meet the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from typing import Optional
 
 from .datamodel import (
@@ -96,7 +96,6 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
         raise ConfigError("schema has no context attributes")
 
     global_order: Optional[list[str]] = None  # the root's ranking, in global mode
-    values = ds.codes.values
     next_id = 1
     top: list[AgtNode] = []
 
@@ -122,10 +121,7 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
         node.split_attribute = best.attr
         rest = [a for a in remaining if a != best.attr]
         if rest:
-            # a stable sort groups the rows by value in domain order, the
-            # children's order, and keeps each group ascending
-            value = values[best.attr].__getitem__
-            groups = [list(g) for _, g in groupby(sorted(rows, key=value), value)]
+            groups = ds.codes.partition(best.attr, rows)  # the children's order
         else:
             groups = [None] * len(best.children)  # leaves: their rows are never read
         for (val, sub), group in zip(reversed(best.children), reversed(groups)):

@@ -2,16 +2,17 @@
 
 Itemsets range over context conditions only; behavior classes appear only
 as rule consequents, which keeps the rule space directly comparable with
-the tree miner's output. One level-wise pass finds the frequent itemsets
-and, while each one's rows are in hand, its support in every class, so
-rule generation only compares counts.
+the tree miner's output. The rule set is complete: every rule over every
+frequent condition set. One depth-first partition of the distinct rows
+finds the frequent itemsets and, from the same tallies, each one's
+support in every class, so rule generation only compares counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Optional
 
 from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
@@ -31,64 +32,55 @@ class FrequentItemset:
 
 
 def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
-    """Level-wise frequent itemset mining over context conditions.
+    """Every frequent itemset over context conditions, with its class supports.
 
-    Output is level-wise, then by sorted conditions. Itemsets sharing a
-    prefix are bucketed by their last condition's attribute, and each is
-    joined only with those of later buckets: two values of one attribute
-    never co-occur in single-valued nominal data, so same-attribute pairs
-    are never formed. A candidate with an infrequent subset is pruned
-    before counting. Counting is vertical: a candidate's rows are its
-    prefix's rows ANDed with its last condition's rows (see Dataset.bits),
-    and each frequent itemset's class supports are taken from the same rows.
+    Output is by itemset size, then by sorted conditions. Attributes are
+    single-valued and nominal, so the frequent itemsets are the cells of
+    an iceberg cube, found by recursive partitioning (Beyer and
+    Ramakrishnan's BUC): an itemset's distinct rows (see Dataset.codes)
+    are tallied by each later attribute in name order (see
+    RowCodes.tally), which gives the coverage and class supports of every
+    one-condition extension at once, and each frequent extension is
+    partitioned off and extended in turn. No extension of an infrequent
+    itemset is frequent, so an infrequent one is neither partitioned nor
+    extended.
     """
     if min_support < 1:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
 
-    conditions = ds.bits.conditions
-    classes = list(ds.bits.classes.values())
-    result: list[FrequentItemset] = []
-
-    def frequent(itemset, rows, cov):
-        if len(result) == MAX_ITEMSETS:
-            raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
-                              % MAX_ITEMSETS)
-        supports = tuple([(rows & cls_rows).bit_count() for cls_rows in classes])
-        result.append(FrequentItemset(frozenset(itemset), cov, supports))
-
-    # itemsets are kept as sorted condition tuples and each level, a dict
-    # from itemset to its rows, is filled in sorted order, so itemsets
-    # sharing a prefix are adjacent and candidates come out sorted
-    level: dict[tuple[Condition, ...], int] = {}
-    for cond in sorted(conditions):
-        rows = conditions[cond]
-        cov = rows.bit_count()
-        if cov >= min_support:
-            level[(cond,)] = rows
-            frequent((cond,), rows, cov)
-
-    while level:
-        prefixes, level = level, {}
-        for _, group in groupby(prefixes, key=lambda itemset: itemset[:-1]):
-            buckets = [list(b) for _, b in groupby(group, key=lambda itemset: itemset[-1][0])]
-            for b, bucket in enumerate(buckets):
-                later = [itemset[-1] for rest in buckets[b + 1:] for itemset in rest]
-                for left in bucket:
-                    left_rows = prefixes[left]
-                    for last in later:
-                        candidate = left + (last,)
-                        # dropping either of the last two conditions gives
-                        # left or its join partner, both in the level
-                        if all(
-                            candidate[:j] + candidate[j + 1:] in prefixes
-                            for j in range(len(candidate) - 2)
-                        ):
-                            rows = left_rows & conditions[last]
-                            cov = rows.bit_count()
-                            if cov >= min_support:
-                                level[candidate] = rows
-                                frequent(candidate, rows, cov)
-    return result
+    codes = ds.codes
+    width = len(codes.labels)
+    # in name order, so each itemset's conditions are sorted; one tuple per
+    # condition, shared by every itemset that holds it
+    attrs = [(name, [(name, val) for val in domain])
+             for name, domain in sorted(ds.schema.attributes)]
+    found: list[tuple[tuple[Condition, ...], int, tuple[int, ...]]] = []
+    # (itemset, its distinct rows, index in attrs of the first attribute to add)
+    stack = [((), range(len(codes.counts)), 0)]
+    while stack:
+        itemset, rows, start = stack.pop()
+        for i in range(start, len(attrs)):
+            name, conditions = attrs[i]
+            by_value: dict[int, list[int]] = {}
+            for code, count in codes.tally(name, rows).items():
+                v, b = divmod(code, width)
+                by_value.setdefault(v, [0] * width)[b] = count
+            present = sorted(by_value)  # domain order, like the partition's groups
+            frequent = [v for v in present if sum(by_value[v]) >= min_support]
+            deeper = i + 1 < len(attrs)
+            if frequent and deeper:
+                groups = dict(zip(present, codes.partition(name, rows)))
+            for v in frequent:
+                if len(found) == MAX_ITEMSETS:
+                    raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
+                                      % MAX_ITEMSETS)
+                supports = tuple(by_value[v])
+                extended = itemset + (conditions[v],)
+                found.append((extended, sum(supports), supports))
+                if deeper:
+                    stack.append((extended, groups[v], i + 1))
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    return [FrequentItemset(frozenset(items), cov, supports) for items, cov, supports in found]
 
 
 def generate_cars(
@@ -105,7 +97,7 @@ def generate_cars(
     class label.
     """
     num, den = threshold_terms(threshold)
-    labels = list(ds.bits.classes)  # sorted
+    labels = ds.codes.labels
     rules: list[Rule] = []
     for fi in frequent:
         floor = num * fi.support  # support/coverage >= t is support*den >= floor

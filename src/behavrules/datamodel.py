@@ -11,12 +11,12 @@ rows and never holds a value per cell. Each form's missing views are
 derived and cached on first use: `columns` and `behaviors` from the ids,
 `distinct` (the rows with their counts) from the columns. So are
 `instances`, one Instance per row (its values are a plain dict, which
-callers must not mutate); `bits`, the row-id bitsets Apriori counts with
-(see RowBits); and `codes`, each distinct row's value index and
-value-by-class code per attribute, which tree growth tallies weighted by
-the counts (see RowCodes). The caches never change what a public method
-returns. The row layer (Instance, `instances`, Dataset(schema,
-instances), create, subset) serves only the tests and the benchmark.
+callers must not mutate); and `codes`, each distinct row's value index
+and value-by-class code per attribute, which both miners tally weighted
+by the counts and partition by value (see RowCodes). The caches never
+change what a public method returns. The row layer (Instance,
+`instances`, Dataset(schema, instances), create, subset) serves only
+the tests and the benchmark.
 Confidence values are exact rationals (support / coverage), so threshold
 comparisons like ">= 80%" never suffer float rounding.
 """
@@ -26,8 +26,9 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional
 
 
@@ -131,47 +132,8 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class RowBits:
-    """Row-id bitsets of one dataset, one Python int per set.
-
-    Every count Apriori takes is the popcount of an AND of these sets,
-    e.g. ``(conditions[c] & classes[k]).bit_count()``. Row i of an n-row
-    dataset is bit n-1-i.
-    """
-
-    rows: int  # every row
-    conditions: dict[Condition, int]  # rows carrying each (attr, value)
-    classes: dict[str, int]  # rows of each behavior class, labels sorted
-
-    @classmethod
-    def encode(cls, schema: ContextSchema, columns, behaviors) -> "RowBits":
-        n = len(behaviors)
-        size = (n + 7) >> 3
-        # byte and bit of each row, from row 0 (bit n-1) on
-        spots = range(n - 1, -1, -1)
-        byte_of = [j >> 3 for j in spots]
-        bit_of = [1 << (j & 7) for j in spots]
-
-        def column_bits(values, domain):
-            bufs = {val: bytearray(size) for val in domain}
-            for byte, bit, val in zip(byte_of, bit_of, values):
-                bufs[val][byte] |= bit
-            return {val: int.from_bytes(buf, "little") for val, buf in bufs.items()}
-
-        return cls(
-            rows=(1 << n) - 1,
-            conditions={
-                (name, val): bits
-                for (name, domain), values in zip(schema.attributes, columns)
-                for val, bits in column_bits(values, domain).items()
-            },
-            classes=column_bits(behaviors, sorted(schema.behavior_classes)),
-        )
-
-
-@dataclass(frozen=True)
 class RowCodes:
-    """Per-attribute integer codes of one dataset's distinct rows, for tree growth.
+    """Per-attribute integer codes of one dataset's distinct rows, for both miners.
 
     A distinct row is one (context values, behavior) combination; they are
     kept in order of first occurrence, and counts[d] is the number of
@@ -203,6 +165,23 @@ class RowCodes:
             values[name] = list(map(index.__getitem__, column))
             value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
         return cls(labels, values, value_class, list(counts))
+
+    def tally(self, attr: str, rows: Iterable[int]) -> dict[int, int]:
+        """Dataset rows per value-by-class code of attr among rows, distinct-row
+        ids, each weighted by its count; codes in order of their first row."""
+        value_class, weights = self.value_class[attr], self.counts
+        tally: dict[int, int] = {}
+        for row in rows:
+            code = value_class[row]
+            tally[code] = tally.get(code, 0) + weights[row]
+        return tally
+
+    def partition(self, attr: str, rows: Iterable[int]) -> list[list[int]]:
+        """rows, ascending distinct-row ids, grouped by their value of attr;
+        groups in domain order, each ascending."""
+        value = self.values[attr].__getitem__
+        # a stable sort groups by value and keeps each group ascending
+        return [list(group) for _, group in groupby(sorted(rows, key=value), value)]
 
 
 def _transpose(rows, width: int) -> tuple:
@@ -373,11 +352,6 @@ class Dataset:
         instances = self.instances
         sub.__dict__["instances"] = tuple(instances[i] for i in rows)
         return sub
-
-    @cached_property
-    def bits(self) -> RowBits:
-        """Row-id bitsets over this dataset, built on first use."""
-        return RowBits.encode(self.schema, self.columns, self.behaviors)
 
     @cached_property
     def codes(self) -> RowCodes:

@@ -4,10 +4,11 @@ The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
 reproducible. A node's rows are a list of ascending distinct-row ids
-(see Dataset.codes), and one tally of their value-by-class codes, each
-weighted by the number of dataset rows its distinct row stands for,
-gives the class counts of every child of a split, so the tree can rank
-the rows of any node without building a sub-dataset.
+(see Dataset.codes), and one RowCodes.tally of their value-by-class
+codes, each weighted by the number of dataset rows its distinct row
+stands for, gives the class counts of every child of a split, so the
+tree can rank the rows of any node without building a sub-dataset.
+Apriori counts its itemsets with the same tally.
 """
 
 from __future__ import annotations
@@ -52,24 +53,19 @@ def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -
     """Partition rows, ascending distinct-row ids of ds (see Dataset.codes), by attr.
 
     counts are the class counts of the dataset rows that rows stand for,
-    in first-row order. One tally of the rows' value-by-class codes,
-    weighted by their multiplicities, gives every child's class counts;
-    distinct rows keep their first occurrence's order, so each child's
-    classes come in first-row order. Children are summed in domain order,
-    so the gain is the same float however the rows are counted.
+    in first-row order. One tally of the rows' value-by-class codes (see
+    RowCodes.tally) gives every child's class counts; distinct rows keep
+    their first occurrence's order, so each child's classes come in
+    first-row order. Children are summed in domain order, so the gain is
+    the same float however the rows are counted.
     """
     domain = ds.schema.domain(attr)  # also rejects an unknown attribute
     n = sum(counts.values())
     if n == 0:
         return Split(attr, 0.0, [])
     labels = ds.codes.labels
-    value_class, weights = ds.codes.value_class[attr], ds.codes.counts
-    tally: dict[int, int] = {}
-    for row in rows:
-        code = value_class[row]
-        tally[code] = tally.get(code, 0) + weights[row]
     by_value: dict[int, dict[str, int]] = {}
-    for code, count in tally.items():
+    for code, count in ds.codes.tally(attr, rows).items():
         v, b = divmod(code, len(labels))
         by_value.setdefault(v, {})[labels[b]] = count
     children = []

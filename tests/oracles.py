@@ -1,15 +1,15 @@
 """Independent reference implementations used to check the miners and loaders.
 
 Rules are found by exhaustive enumeration with direct counting, with no
-candidate pruning; the reference tree and filter are the row-scanning and
-pairwise versions the package replaced; and the reference loaders,
-encoder and generator build one dict and one Instance per row, as the
-package did before datasets were stored as columns. None of these shares
-code with the package's mining, loading or generating paths. The one
-exception is the reference sweep: it calls the package's miners afresh
-for every threshold and counts the rules they return, where the sweep
-counts each rule's threshold interval from one tree and one redundancy
-pass.
+candidate pruning; the reference tree, filter and frequent itemsets are
+the row-scanning, pairwise and level-wise bitset versions the package
+replaced; and the reference loaders, encoder and generator build one
+dict and one Instance per row, as the package did before datasets were
+stored as columns. None of these shares code with the package's
+mining, loading or generating paths. The one exception is the reference
+sweep: it calls the package's miners afresh for every threshold and
+counts the rules they return, where the sweep counts each rule's
+threshold interval from one tree and one redundancy pass.
 """
 
 import csv
@@ -28,7 +28,6 @@ from behavrules.datamodel import (
     Dataset,
     Instance,
     Rule,
-    RowBits,
     RowCodes,
     SchemaViolation,
 )
@@ -312,7 +311,9 @@ def reference_row_codes(schema, instances):
 
 
 def reference_row_bits(schema, instances):
-    """RowBits set bit by bit from each Instance's values dict."""
+    """(conditions, classes): one row-id bitset per (attr, value) and per
+    behavior class, labels sorted, set bit by bit from each Instance's
+    values dict. Row i of n is bit n-1-i."""
     last = len(instances) - 1
     size = (len(instances) + 7) >> 3
     columns = {
@@ -326,15 +327,59 @@ def reference_row_bits(schema, instances):
         for name, column in columns.items():
             column[inst.values[name]][byte] |= bit
         labels[inst.behavior][byte] |= bit
-    return RowBits(
-        rows=(1 << len(instances)) - 1,
-        conditions={
-            (name, val): int.from_bytes(buf, "little")
-            for name, column in columns.items()
-            for val, buf in column.items()
-        },
-        classes={c: int.from_bytes(buf, "little") for c, buf in labels.items()},
-    )
+    conditions = {
+        (name, val): int.from_bytes(buf, "little")
+        for name, column in columns.items()
+        for val, buf in column.items()
+    }
+    return conditions, {c: int.from_bytes(buf, "little") for c, buf in labels.items()}
+
+
+def level_wise_frequent(ds, min_support=1):
+    """(items, support, class_supports) of every frequent itemset, level-wise
+    and then by sorted conditions, as apriori.mine_frequent returns them.
+
+    The level-wise join apriori used before it partitioned distinct rows:
+    itemsets sharing a prefix are bucketed by their last condition's
+    attribute and joined only with later buckets, a candidate with an
+    infrequent subset is pruned, and a candidate's rows are its prefix's
+    row bitset ANDed with its last condition's (see reference_row_bits).
+    """
+    conditions, classes = reference_row_bits(ds.schema, ds.instances)
+    classes = list(classes.values())
+    result = []
+
+    def frequent(itemset, rows, cov):
+        supports = tuple((rows & cls_rows).bit_count() for cls_rows in classes)
+        result.append((frozenset(itemset), cov, supports))
+
+    # each level maps sorted condition tuples to their rows, filled in
+    # sorted order, so itemsets sharing a prefix are adjacent
+    level = {}
+    for cond in sorted(conditions):
+        rows = conditions[cond]
+        cov = rows.bit_count()
+        if cov >= min_support:
+            level[(cond,)] = rows
+            frequent((cond,), rows, cov)
+    while level:
+        prefixes, level = level, {}
+        for _, group in itertools.groupby(prefixes, key=lambda itemset: itemset[:-1]):
+            buckets = [list(b) for _, b in
+                       itertools.groupby(group, key=lambda itemset: itemset[-1][0])]
+            for b, bucket in enumerate(buckets):
+                later = [itemset[-1] for rest in buckets[b + 1:] for itemset in rest]
+                for left in bucket:
+                    for last in later:
+                        candidate = left + (last,)
+                        if all(candidate[:j] + candidate[j + 1:] in prefixes
+                               for j in range(len(candidate) - 2)):
+                            rows = prefixes[left] & conditions[last]
+                            cov = rows.bit_count()
+                            if cov >= min_support:
+                                level[candidate] = rows
+                                frequent(candidate, rows, cov)
+    return result
 
 
 def _instances_dataset(attr_names, domains, classes, rows):

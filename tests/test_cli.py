@@ -561,10 +561,10 @@ class TestPipeline:
         ):
             assert main(argv) == 0, argv
 
-    def test_rank_and_mine_agt_on_a_dataset_file_build_no_row_columns(
+    def test_miners_and_sweep_on_a_dataset_file_build_no_row_columns(
         self, tmp_path, monkeypatch, capsys
     ):
-        from behavrules.datamodel import Dataset, Instance, RowBits
+        from behavrules.datamodel import Dataset, Instance
 
         spec, log, dataset = tmp_path / "spec.json", tmp_path / "log.csv", tmp_path / "ds.csv"
         spec.write_text(json.dumps(GEN_SPEC))
@@ -579,12 +579,15 @@ class TestPipeline:
         for name in ("columns", "behaviors", "instances"):
             monkeypatch.setattr(Dataset, name, property(per_row))
         monkeypatch.setattr(Instance, "__init__", per_row)
-        monkeypatch.setattr(RowBits, "encode", per_row)
         for argv in (
             ["rank", str(dataset)],
             ["mine-agt", str(dataset), "--min-conf", "80", "--dot", str(tmp_path / "t.dot")],
             ["mine-agt", str(dataset), "--min-conf", "60", "--global-ranking",
              "--strict-redundancy", "--min-support", "3", "--format", "jsonl"],
+            ["mine-apriori", str(dataset), "--min-conf", "80"],
+            ["mine-apriori", str(dataset), "--min-conf", "60", "--filter-redundant",
+             "--format", "jsonl"],
+            ["sweep", str(dataset), "--thresholds", "90", "70"],
         ):
             assert main(argv) == 0, argv
 
@@ -600,20 +603,6 @@ class TestPipeline:
             assert main(["mine-agt", str(path), "--min-conf", "80", "--dot", str(dot)]) == 0
             outputs.append((capsys.readouterr().out, dot.read_bytes()))
         assert outputs[0][0] and outputs[0] == outputs[1]
-
-    def test_tree_and_ranking_build_no_bitsets(self, demo_csv, monkeypatch, capsys):
-        from behavrules.datamodel import RowBits
-
-        def no_bits(*args, **kwargs):
-            raise AssertionError("row bitsets were built")
-
-        monkeypatch.setattr(RowBits, "encode", no_bits)
-        for argv in (
-            ["rank", demo_csv],
-            ["mine-agt", demo_csv, "--min-conf", "75"],
-            ["mine-agt", demo_csv, "--min-conf", "75", "--global-ranking"],
-        ):
-            assert main(argv) == 0, argv
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -1,9 +1,9 @@
 """The miners against the row-scanning references in oracles.py, and the
 interval-counting sweep against one independent run per threshold.
 
-Apriori counts with row bitsets and the tree tallies distinct-row lists
-weighted by their multiplicities; the references filter instance lists
-and enumerate condition sets."""
+Both miners tally distinct-row lists weighted by their multiplicities;
+the references filter instance lists, enumerate condition sets and join
+row bitsets level by level."""
 
 import random
 from fractions import Fraction
@@ -27,6 +27,7 @@ from oracles import (
     brute_force_cars,
     direct_frequent,
     distinct_row_ids,
+    level_wise_frequent,
     random_dataset,
     reference_filter_redundant,
     reference_ranking,
@@ -199,15 +200,6 @@ def test_remarked_tree_matches_reference_at_last_threshold(
     assert rule_keys(rules) <= brute_force_cars(ds, cfg.confidence_threshold, min_support)
 
 
-@SETTINGS
-@given(ds=datasets(), min_support=st.integers(1, 3))
-def test_mine_frequent_returns_the_order_generate_cars_needs(ds, min_support):
-    # generate_cars does not sort: its output order is its input's
-    found = apriori.mine_frequent(ds, min_support)
-    keys = [(len(fi.items), tuple(sorted(fi.items))) for fi in found]
-    assert keys == sorted(keys)
-
-
 @st.composite
 def duplicate_heavy_datasets(draw):
     """A few distinct rows, each repeated, in any order.
@@ -291,6 +283,39 @@ def edge_datasets(draw):
         return Dataset.create(schema, [])
     schema = ContextSchema.create([], ["c0", "c1"])
     return Dataset.create(schema, [Instance({}, "c0")] * draw(st.integers(1, 3)))
+
+
+@SETTINGS
+@given(
+    ds=st.one_of(datasets(), duplicate_heavy_datasets(), edge_datasets()),
+    min_support=st.integers(1, 4),
+    reverse=st.booleans(),
+)
+def test_mine_frequent_returns_the_order_generate_cars_needs(ds, min_support, reverse):
+    if reverse:  # so schema order is not name order
+        schema = ContextSchema.create(ds.schema.attributes[::-1], ds.schema.behavior_classes)
+        ds = Dataset.from_columns(schema, ds.columns[::-1], ds.behaviors)
+    # generate_cars does not sort: its output order is its input's
+    found = apriori.mine_frequent(ds, min_support)
+    keys = [(len(fi.items), tuple(sorted(fi.items))) for fi in found]
+    assert keys == sorted(keys)
+    assert [(fi.items, fi.support, fi.class_supports) for fi in found] == \
+        level_wise_frequent(ds, min_support)
+
+
+@SETTINGS
+@given(
+    ds=st.one_of(datasets(), duplicate_heavy_datasets()),
+    t=st.sampled_from(THRESHOLDS),
+    min_support=st.integers(1, 4),
+)
+def test_filtered_apriori_keeps_the_minimal_brute_force_rules(ds, t, min_support):
+    every = brute_force_cars(ds, t, min_support)
+    minimal = {
+        rule for rule in every
+        if not any(other[1] == rule[1] and other[0] < rule[0] for other in every)
+    }
+    assert rule_keys(apriori.filter_redundant(apriori.mine(ds, t, min_support))) == minimal
 
 
 def _breakpoints(ds):

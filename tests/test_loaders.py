@@ -1,8 +1,8 @@
 """The column-building loaders against the row-wise references in oracles.py.
 
 Both loaders must give the schema (domain order included), the instances,
-the ingest summary and the row bitsets that the one-dict-per-row loaders
-gave; skip reasons must name the file line each record ends on.
+the ingest summary and the distinct-row codes that the one-dict-per-row
+loaders gave; skip reasons must name the file line each record ends on.
 """
 
 import csv
@@ -32,7 +32,6 @@ from behavrules.serialize import dataset_from_csv, dataset_to_csv
 from oracles import (
     reference_dataset_from_csv,
     reference_load_log,
-    reference_row_bits,
     reference_row_codes,
 )
 
@@ -91,8 +90,7 @@ def test_dataset_from_csv_matches_row_wise_reference(text):
     ds = dataset_from_csv(text)
     assert ds.schema == schema
     assert ds.instances == tuple(instances)
-    assert ds.bits == reference_row_bits(schema, instances)
-    assert list(ds.bits.classes) == list(reference_row_bits(schema, instances).classes)
+    assert ds.codes == reference_row_codes(schema, instances)
     assert dataset_from_csv(dataset_to_csv(ds)) == ds
 
 
@@ -274,7 +272,7 @@ def test_load_log_matches_row_wise_reference(tmp_path, log, strict, seg):
     ds, got = load_log(str(path), mapping, seg, strict)
     assert ds.schema == schema
     assert ds.instances == tuple(instances)
-    assert ds.bits == reference_row_bits(schema, instances)
+    assert ds.codes == reference_row_codes(schema, instances)
     for name in ("rows_read", "loaded", "skipped", "unsegmented", "cardinalities"):
         assert getattr(got, name) == getattr(summary, name)
     assert got.skip_reasons == [_true_lines(r, ends) for r in summary.skip_reasons]
@@ -390,6 +388,8 @@ def test_high_cardinality_attribute_round_trips():
     back = dataset_from_csv(text)  # domains now in first-observation order
     assert dataset_to_csv(back) == text
     assert back.instances == tuple(rows)
-    assert back.bits == reference_row_bits(schema, rows)
-    assert all(bits.bit_count() == 3 for (name, _), bits in back.bits.conditions.items()
-               if name == "Wide")
+    assert back.codes == reference_row_codes(back.schema, rows)
+    covered = Counter()
+    for v, count in zip(back.codes.values["Wide"], back.codes.counts):
+        covered[v] += count
+    assert sorted(covered) == list(range(300)) and set(covered.values()) == {3}
