@@ -137,6 +137,15 @@ def _read_spec(path: str):
     classes = _spec_key(spec, "classes", "spec")
     if not isinstance(classes, list):
         raise ConfigError("spec classes must be a list")
+    for name, values in attributes:
+        if not isinstance(name, str):
+            raise ConfigError("spec attribute name %r is not a string" % (name,))
+        for value in values:
+            if not isinstance(value, str):
+                raise ConfigError("spec attribute %r value %r is not a string" % (name, value))
+    for item in classes:
+        if not isinstance(item, str):
+            raise ConfigError("spec class %r is not a string" % (item,))
     schema = ContextSchema.create(attributes, classes)
     rules = spec.get("rules", [])
     if not isinstance(rules, list):

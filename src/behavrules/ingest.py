@@ -30,6 +30,7 @@ UNSEGMENTED = "Unsegmented"
 DAY_NAMES = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
+DAY_MINUTES = 24 * 60
 
 
 class IngestError(ValueError):
@@ -63,77 +64,70 @@ class CustomSegment:
 
 @dataclass(frozen=True)
 class SegmentationConfig:
+    """How timestamps become nominal time-segment labels.
+
+    `table` holds the label of every minute of the week, Monday 00:00
+    first, built here once for every mode, so labelling an instant is one
+    lookup. Minutes outside every custom segment are "Unsegmented".
+    """
+
     mode: str = "weekday-hour-bucket"  # or "weekday-only" / "custom-boundaries"
     bucket_hours: int = 2
     segments: tuple[CustomSegment, ...] = ()
-    # (day, start minute, end minute, label) of each custom segment, parsed once
-    bounds: tuple[tuple[str, int, int, str], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    table: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        if self.mode not in ("weekday-hour-bucket", "weekday-only", "custom-boundaries"):
-            raise ConfigError("unknown segmentation mode %r" % self.mode)
         if self.mode == "weekday-hour-bucket":
-            if self.bucket_hours < 1 or 24 % self.bucket_hours != 0:
-                raise ConfigError(
-                    "bucket_hours must divide 24, got %d" % self.bucket_hours
-                )
-        if self.mode == "custom-boundaries":
+            hours = self.bucket_hours
+            if not isinstance(hours, int) or hours < 1 or 24 % hours != 0:
+                raise ConfigError("bucket_hours must divide 24, got %r" % (hours,))
+            table = []
+            for day in DAY_NAMES:
+                for start in range(0, 24, hours):
+                    table += ["%s[%02d:00-%02d:00]" % (day, start, start + hours)] * (60 * hours)
+        elif self.mode == "weekday-only":
+            table = [day for day in DAY_NAMES for _ in range(DAY_MINUTES)]
+        elif self.mode == "custom-boundaries":
             if not self.segments:
                 raise ConfigError("custom-boundaries mode needs segments")
-            bounds: list[tuple[str, int, int, str]] = []
+            table = [None] * (7 * DAY_MINUTES)  # None: no segment has the minute yet
             for seg in self.segments:
                 if seg.day not in DAY_NAMES:
                     raise ConfigError("unknown day %r" % seg.day)
                 start, end = _minutes(seg.start), _minutes(seg.end)
                 if start >= end:
                     raise ConfigError("segment %s is empty" % seg.name())
-                for day, lo, hi, _ in bounds:
-                    if day == seg.day and start < hi and lo < end:
-                        raise ConfigError("overlapping segments on %s" % seg.day)
-                bounds.append((seg.day, start, end, seg.name()))
-            object.__setattr__(self, "bounds", tuple(bounds))
+                day = DAY_NAMES.index(seg.day) * DAY_MINUTES
+                if any(label is not None for label in table[day + start:day + end]):
+                    raise ConfigError("overlapping segments on %s" % seg.day)
+                table[day + start:day + end] = [seg.name()] * (end - start)
+            table = [UNSEGMENTED if label is None else label for label in table]
+        else:
+            raise ConfigError("unknown segmentation mode %r" % self.mode)
+        object.__setattr__(self, "table", tuple(table))
 
     def labels(self) -> list[str]:
         """All labels this config can produce (minus "Unsegmented")."""
-        if self.mode == "weekday-only":
-            return list(DAY_NAMES)
-        if self.mode == "weekday-hour-bucket":
-            out = []
-            for day in DAY_NAMES:
-                for start in range(0, 24, self.bucket_hours):
-                    out.append(
-                        "%s[%02d:00-%02d:00]" % (day, start, start + self.bucket_hours)
-                    )
-            return out
-        return [seg.name() for seg in self.segments]
+        if self.mode == "custom-boundaries":
+            return [seg.name() for seg in self.segments]
+        return list(dict.fromkeys(self.table))
+
+
+_HHMM = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
 
 
 def _minutes(hhmm: str) -> int:
-    try:
-        hh, mm = hhmm.split(":")
-        value = int(hh) * 60 + int(mm)
-    except ValueError as exc:
-        raise ConfigError("bad time %r" % hhmm) from exc
-    if not (0 <= value <= 24 * 60):
-        raise ConfigError("time out of range: %r" % hhmm)
-    return value
+    """Minutes past midnight of an "h:mm" or "hh:mm" time, at most "24:00"."""
+    match = _HHMM.fullmatch(hhmm) if isinstance(hhmm, str) else None
+    minutes = int(match[1]) * 60 + int(match[2]) if match else -1
+    if not 0 <= minutes <= DAY_MINUTES:
+        raise ConfigError("bad time %r" % hhmm)
+    return minutes
 
 
 def segment_timestamp(ts: datetime, cfg: SegmentationConfig) -> str:
-    """Deterministic nominal label for an instant; buckets are [start, end)."""
-    day = DAY_NAMES[ts.weekday()]
-    if cfg.mode == "weekday-only":
-        return day
-    if cfg.mode == "weekday-hour-bucket":
-        start = (ts.hour // cfg.bucket_hours) * cfg.bucket_hours
-        return "%s[%02d:00-%02d:00]" % (day, start, start + cfg.bucket_hours)
-    minute = ts.hour * 60 + ts.minute
-    for seg_day, start, end, label in cfg.bounds:
-        if seg_day == day and start <= minute < end:
-            return label
-    return UNSEGMENTED
+    """The label of the instant's minute of the week; buckets are [start, end)."""
+    return cfg.table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute]
 
 
 @dataclass(frozen=True)
@@ -253,13 +247,11 @@ def load_log(
     the first one. Missing context cells become the "Unknown" value.
     Skip reasons name the file line a record ends on; the summary keeps
     the first SKIP_REASONS_KEPT of them. Kept rows go straight into one
-    list per attribute.
+    list per attribute; a row's time label is seg.table's entry for its
+    minute of the week, whatever the segmentation mode.
     """
     summary = IngestSummary()
-    # a label depends only on the weekday and hour, and on the minute in
-    # custom mode, so each is formatted once
-    labels: dict[tuple[int, ...], str] = {}
-    by_minute = seg.mode == "custom-boundaries"
+    table = seg.table
     times: list[str] = []
     contexts: list[list[str]] = [[] for _ in mapping.context_cols]
     behaviors: list[str] = []
@@ -296,13 +288,7 @@ def load_log(
                     if len(summary.skip_reasons) < SKIP_REASONS_KEPT:
                         summary.skip_reasons.append(reason)
                     continue
-                if by_minute:
-                    key = (ts.weekday(), ts.hour, ts.minute)
-                else:
-                    key = (ts.weekday(), ts.hour)
-                label = labels.get(key)
-                if label is None:
-                    label = labels[key] = segment_timestamp(ts, seg)
+                label = table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute]
                 if label == UNSEGMENTED:
                     summary.unsegmented += 1
                 times.append(label)

@@ -89,9 +89,13 @@ def generate(
 
     position = {name: i for i, name in enumerate(schema.attribute_names)}
 
-    def overlaps(values, antecedents):
-        """Whether values, in schema order, match any of the antecedents."""
-        return any(all(values[position[a]] == v for a, v in ante) for ante in antecedents)
+    def draw(fixed, avoid):
+        """Values in schema order, fixed where given, matching none of avoid; None if stuck."""
+        for _attempt in range(10000):
+            values = [fixed.get(attr) or rng.choice(domain) for attr, domain in schema.attributes]
+            if not any(all(values[position[a]] == v for a, v in ante) for ante in avoid):
+                return values
+        return None
 
     rows: list[tuple[str, ...]] = []  # values in schema order, then the class
     for spec, quota in zip(specs, quotas):
@@ -104,18 +108,11 @@ def generate(
             )
         fixed = dict(spec.antecedent)
         others = [c for c in classes if c != spec.consequent]
+        # overlap with another planted antecedent would skew its realized confidence
         foreign = [s.antecedent for s in specs if s is not spec]
         for i in range(quota):
-            for _attempt in range(10000):
-                values = [
-                    fixed.get(attr) or rng.choice(domain)
-                    for attr, domain in schema.attributes
-                ]
-                # overlap with another planted antecedent would skew its
-                # realized confidence
-                if not overlaps(values, foreign):
-                    break
-            else:
+            values = draw(fixed, foreign)
+            if values is None:
                 raise GenerationError(
                     "could not draw instances for %s avoiding other planted antecedents"
                     % (spec.antecedent,)
@@ -128,11 +125,8 @@ def generate(
 
     antecedents = [spec.antecedent for spec in specs]
     for _ in range(n - sum(quotas)):
-        for _attempt in range(10000):
-            values = [rng.choice(domain) for _, domain in schema.attributes]
-            if not overlaps(values, antecedents):
-                break
-        else:
+        values = draw({}, antecedents)
+        if values is None:
             raise GenerationError(
                 "could not draw background instances avoiding the planted antecedents"
             )
@@ -170,7 +164,7 @@ def _timestamp_for(label: str) -> str:
     raise GenerationError("cannot place a timestamp inside segment %r" % label)
 
 
-def write_log(ds: Dataset, out, delimiter: str = ",") -> None:
+def write_log(ds: Dataset, out) -> None:
     """Write ds as a raw call log (timestamp/type/duration + context columns).
 
     out is a file path, written with csv's default CRLF line ends, or an
@@ -199,6 +193,6 @@ def write_log(ds: Dataset, out, delimiter: str = ",") -> None:
     header = ["timestamp", "call_type", "duration"] + context_cols
     to_path = isinstance(out, (str, os.PathLike))
     with open(out, "w", encoding="utf-8", newline="") if to_path else nullcontext(out) as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\r\n" if to_path else "\n")
+        writer = csv.writer(fh, lineterminator="\r\n" if to_path else "\n")
         writer.writerow(header)
         writer.writerows(rows)

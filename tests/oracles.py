@@ -442,6 +442,25 @@ def reference_segment_timestamp(ts, cfg):
     return UNSEGMENTED
 
 
+def reference_segments_error(segments):
+    """The ConfigError message custom segments with well-formed times earn, or None.
+
+    Checks each segment in order against every earlier one, pair by pair.
+    """
+    bounds = []
+    for seg in segments:
+        if seg.day not in DAY_NAMES:
+            return "unknown day %r" % seg.day
+        start, end = (int(b[:-3]) * 60 + int(b[-2:]) for b in (seg.start, seg.end))
+        if start >= end:
+            return "segment %s is empty" % seg.name()
+        for day, lo, hi in bounds:
+            if day == seg.day and start < hi and lo < end:
+                return "overlapping segments on %s" % seg.day
+        bounds.append((seg.day, start, end))
+    return None
+
+
 def reference_load_log(path, mapping, seg, strict=False):
     """(schema, instances, summary) of a call log read with csv.DictReader.
 

@@ -259,9 +259,15 @@ class TestInputErrors:
                  "weight must be in (0, 1], got %s" % got)
                 for w, got in (("nan", "nan"), ("inf", "inf"), (1e308, "1e+308"))
             ],
+            (dict(GEN_SPEC, attributes=dict(GEN_SPEC["attributes"], Time=[1, 2])),
+             "spec attribute 'Time' value 1 is not a string"),
+            (dict(GEN_SPEC, classes=[["Accept"]]), "spec class ['Accept'] is not a string"),
+            (dict(GEN_SPEC, attributes=dict(GEN_SPEC["attributes"], Relation=[True, "Friend"])),
+             "spec attribute 'Relation' value True is not a string"),
         ],
         ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key",
-             "weight-nan", "weight-inf", "weight-1e308"],
+             "weight-nan", "weight-inf", "weight-1e308", "value-number", "class-list",
+             "value-bool"],
     )
     def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"

@@ -1,4 +1,4 @@
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from behavrules.ingest import (
     parse_timestamp,
     segment_timestamp,
 )
+from oracles import reference_segment_timestamp, reference_segments_error
 
 MAPPING = ColumnMapping(
     timestamp_col="timestamp",
@@ -131,8 +132,9 @@ class TestSegmentation:
             assert len(set(labels)) == len(labels)
 
     def test_bad_bucket_hours_rejected(self):
-        with pytest.raises(ConfigError):
-            SegmentationConfig(bucket_hours=5)
+        for hours in (5, 0, -2, 48, 2.0, "2", None):
+            with pytest.raises(ConfigError, match="bucket_hours must divide 24, got "):
+                SegmentationConfig(bucket_hours=hours)
 
     def test_custom_segment_lookup(self):
         cfg = SegmentationConfig(
@@ -161,6 +163,81 @@ class TestSegmentation:
                     CustomSegment("Friday", "10:00", "12:00"),
                 ),
             )
+
+
+def _custom(*segments):
+    return SegmentationConfig(
+        mode="custom-boundaries", segments=tuple(CustomSegment(*s) for s in segments)
+    )
+
+
+FIXED_CONFIGS = {
+    **{"hours-%d" % h: SegmentationConfig(bucket_hours=h) for h in (1, 2, 3, 4, 6, 8, 12, 24)},
+    "weekday-only": SegmentationConfig(mode="weekday-only"),
+}
+TABLE_CONFIGS = {
+    **FIXED_CONFIGS,
+    # adjacent segments, one ending at 24:00, on several days, with h:mm bounds
+    "custom-adjacent": _custom(
+        ("Monday", "0:00", "9:30"), ("Monday", "09:30", "09:31", "Brief"),
+        ("Monday", "12:15", "24:00"), ("Wednesday", "23:59", "24:00"),
+        ("Sunday", "00:00", "24:00", "AllSunday"),
+    ),
+    # a segment labelled like the gaps, and a label shared by two segments
+    "custom-shared-labels": _custom(
+        ("Friday", "08:00", "10:00", "Unsegmented"), ("Friday", "10:00", "12:00", "Busy"),
+        ("Saturday", "10:00", "12:00", "Busy"),
+    ),
+}
+
+
+class TestSegmentationTable:
+    @pytest.mark.parametrize("cfg", TABLE_CONFIGS.values(), ids=TABLE_CONFIGS)
+    def test_every_minute_of_the_week_matches_the_reference(self, cfg):
+        monday = datetime(2004, 9, 13)
+        for minute in range(7 * 24 * 60):
+            ts = monday + timedelta(minutes=minute, seconds=minute % 60)
+            assert segment_timestamp(ts, cfg) == reference_segment_timestamp(ts, cfg)
+
+    @pytest.mark.parametrize("cfg", FIXED_CONFIGS.values(), ids=FIXED_CONFIGS)
+    def test_fixed_mode_labels_follow_the_week(self, cfg):
+        monday = datetime(2004, 9, 13)
+        week = (monday + timedelta(minutes=m) for m in range(7 * 24 * 60))
+        assert cfg.labels() == list(dict.fromkeys(
+            reference_segment_timestamp(ts, cfg) for ts in week
+        ))
+
+    @pytest.mark.parametrize("time", [
+        "09:60", "12:99", "10:-5", "+9:00", " 9:00", "9:00 ", "09:00\n", "24:01", "25:00",
+        "99:00", "9", "9:0", "009:00", "09:000", "9:00:00", "", ":", "ab:cd", "\u0669:00",
+        "09.00", 900, None,
+    ])
+    def test_malformed_time_rejected(self, time):
+        with pytest.raises(ConfigError) as info:
+            _custom(("Friday", time, "24:00"))
+        assert str(info.value) == "bad time %r" % (time,)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["Tuesday", "Friday"]),
+            st.integers(0, 1440), st.integers(0, 1440),
+            st.sampled_from([None, "A", "B", "Unsegmented"]),
+            st.sampled_from(["%d:%02d", "%02d:%02d"]),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_custom_validation_matches_the_pairwise_reference(self, drawn):
+        segments = tuple(
+            CustomSegment(day, form % divmod(lo, 60), form % divmod(hi, 60), label)
+            for day, lo, hi, label, form in drawn
+        )
+        try:
+            SegmentationConfig(mode="custom-boundaries", segments=segments)
+            outcome = None
+        except ConfigError as exc:
+            outcome = str(exc)
+        assert outcome == reference_segments_error(segments)
 
 
 class TestLoadLog:
