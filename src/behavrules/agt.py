@@ -7,7 +7,8 @@ as its multiplicity (see Dataset.codes): precedence.split tallies it
 once per remaining attribute, a node's size is the sum of its class
 counts, and only the chosen attribute's rows are partitioned into the
 children's lists (see RowCodes.partition), unless no attribute is left
-to split the children.
+to split the children. A lone child holds its parent's rows, so it
+ranks its parent's other splits instead of tallying again.
 Growth does not depend on the confidence threshold: a node is a leaf
 when it is pure or its contexts are exhausted. A child whose dominant
 class equals its parent's is REDUNDANT when both confidences meet the
@@ -16,7 +17,7 @@ explored, so a deviating grandchild can surface. extract_rules rewrites
 every node's mark for its config as it collects the rules, so one grown
 tree can be extracted at any threshold, and rule_intervals gives the
 threshold interval on which each node's rule is emitted, which the sweep
-counts. Threshold tests are exact integer cross-multiplications. Growth
+counts. Thresholds are tested with datamodel.confidence_test. Growth
 and walks keep explicit stacks.
 """
 
@@ -32,7 +33,7 @@ from .datamodel import (
     Dataset,
     EmptyDatasetError,
     Rule,
-    threshold_terms,
+    confidence_test,
 )
 from .precedence import rank_splits, split
 
@@ -100,9 +101,9 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     top: list[AgtNode] = []
 
     # nodes to make; children go on last first, so ids follow preorder
-    stack = [(range(len(ds.codes.counts)), ds.class_counts(), None, contexts, top)]
+    stack = [(range(len(ds.codes.counts)), ds.class_counts(), None, contexts, None, top)]
     while stack:
-        rows, counts, branch, remaining, siblings = stack.pop()
+        rows, counts, branch, remaining, splits, siblings = stack.pop()
         dominant = _dominant(counts)
         node = AgtNode(next_id, branch, dominant, counts[dominant], sum(counts.values()))
         next_id += 1
@@ -112,10 +113,15 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
             continue  # pure node or exhausted contexts: leaf
 
         if global_order is None:
-            splits = rank_splits(ds, rows, counts, remaining)
-            best = splits[0]
+            if splits is None:  # in remaining order, as rank_splits needs
+                splits = [split(ds, rows, counts, a) for a in remaining]
+            ranked = rank_splits(splits)
+            best = ranked[0]
             if global_ranking:
-                global_order = [s.attr for s in splits]
+                global_order = [s.attr for s in ranked]
+            # a lone child holds this node's rows, so it ranks the other splits
+            lone = len(best.children) == 1 and not global_ranking
+            splits = [s for s in splits if s is not best] if lone else None
         else:
             best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
         node.split_attribute = best.attr
@@ -125,7 +131,7 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
         else:
             groups = [None] * len(best.children)  # leaves: their rows are never read
         for (val, sub), group in zip(reversed(best.children), reversed(groups)):
-            stack.append((group, sub, (best.attr, val), rest, node.children))
+            stack.append((group, sub, (best.attr, val), rest, splits, node.children))
     return top[0]
 
 
@@ -143,7 +149,7 @@ def _mark_and_extract(
     class passes the optional filter. Descendants of redundant nodes are
     still visited. Returns (node id, path conditions, node) per rule node.
     """
-    num, den = threshold_terms(cfg.confidence_threshold)
+    meets_threshold = confidence_test(cfg.confidence_threshold)
     strict = cfg.strict_redundancy
     found: list[tuple[int, tuple[Condition, ...], AgtNode]] = []
 
@@ -151,7 +157,7 @@ def _mark_and_extract(
     stack: list[tuple[AgtNode, Optional[AgtNode], tuple[Condition, ...]]] = [(root, None, ())]
     while stack:
         node, anchor, path = stack.pop()
-        meets = node.support * den >= num * node.size
+        meets = meets_threshold(node.support, node.size)
         node.redundant = (
             meets and anchor is not None
             and anchor.dominant_behavior == node.dominant_behavior

@@ -4,8 +4,8 @@ Itemsets range over context conditions only; behavior classes appear only
 as rule consequents, which keeps the rule space directly comparable with
 the tree miner's output. The rule set is complete: every rule over every
 frequent condition set. One depth-first partition of the distinct rows
-finds the frequent itemsets and, from the same tallies, each one's
-support in every class, so rule generation only compares counts.
+finds the frequent itemsets and, from the same tallies (RowCodes.tally),
+each one's support in every class, so rule generation only compares counts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .datamodel import Condition, ConfigError, Dataset, Rule, threshold_terms
+from .datamodel import Condition, ConfigError, Dataset, Rule, confidence_test
 
 # mine_frequent raises ConfigError rather than list more frequent itemsets than
 # this: far above the 12,749 possible ones of the benchmark's four attributes,
@@ -49,7 +49,6 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
 
     codes = ds.codes
-    width = len(codes.labels)
     # in name order, so each itemset's conditions are sorted; one tuple per
     # condition, shared by every itemset that holds it
     attrs = [(name, [(name, val) for val in domain])
@@ -61,24 +60,20 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
         itemset, rows, start = stack.pop()
         for i in range(start, len(attrs)):
             name, conditions = attrs[i]
-            by_value: dict[int, list[int]] = {}
-            for code, count in codes.tally(name, rows).items():
-                v, b = divmod(code, width)
-                by_value.setdefault(v, [0] * width)[b] = count
-            present = sorted(by_value)  # domain order, like the partition's groups
-            frequent = [v for v in present if sum(by_value[v]) >= min_support]
             deeper = i + 1 < len(attrs)
-            if frequent and deeper:
-                groups = dict(zip(present, codes.partition(name, rows)))
-            for v in frequent:
+            groups = None  # the partition's groups, whose order is the tally's
+            for j, (v, by_class) in enumerate(codes.tally(name, rows)):
+                supports = tuple([by_class.get(label, 0) for label in codes.labels])
+                if sum(supports) < min_support:
+                    continue
                 if len(found) == MAX_ITEMSETS:
                     raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
                                       % MAX_ITEMSETS)
-                supports = tuple(by_value[v])
                 extended = itemset + (conditions[v],)
                 found.append((extended, sum(supports), supports))
                 if deeper:
-                    stack.append((extended, groups[v], i + 1))
+                    groups = groups or codes.partition(name, rows)
+                    stack.append((extended, groups[j], i + 1))
     found.sort(key=lambda f: (len(f[0]), f[0]))
     return [FrequentItemset(frozenset(items), cov, supports) for items, cov, supports in found]
 
@@ -96,20 +91,14 @@ def generate_cars(
     itemset size, then sorted conditions; output keeps that order, then
     class label.
     """
-    num, den = threshold_terms(threshold)
+    meets = confidence_test(threshold)
     labels = ds.codes.labels
     rules: list[Rule] = []
     for fi in frequent:
-        floor = num * fi.support  # support/coverage >= t is support*den >= floor
         for cls, support in zip(labels, fi.class_supports, strict=True):
-            if support >= min_support and support * den >= floor:
+            if support >= min_support and meets(support, fi.support):
                 rules.append(Rule(fi.items, cls, support, fi.support))
     return rules
-
-
-def mine(ds: Dataset, threshold: Fraction, min_support: int = 1) -> list[Rule]:
-    """Frequent itemsets plus rule generation in one call."""
-    return generate_cars(ds, mine_frequent(ds, min_support), threshold, min_support)
 
 
 def shadows(rules: list[Rule]) -> list[Optional[tuple[int, int]]]:

@@ -198,6 +198,9 @@ def _cmd_rank(args) -> int:
 
 def _cmd_mine_agt(args) -> int:
     ds = _load_dataset(args.dataset)
+    for label in args.classes or ():
+        if label not in ds.schema.behavior_classes:
+            raise ConfigError("unknown behavior class %r" % label)
     cfg = agt.MiningConfig(
         confidence_threshold=harness.parse_threshold(args.min_conf),
         min_support=args.min_support,
@@ -217,7 +220,8 @@ def _cmd_mine_agt(args) -> int:
 def _cmd_mine_apriori(args) -> int:
     ds = _load_dataset(args.dataset)
     threshold = harness.parse_threshold(args.min_conf)
-    rules = apriori.mine(ds, threshold, args.min_support)
+    frequent = apriori.mine_frequent(ds, args.min_support)
+    rules = apriori.generate_cars(ds, frequent, threshold, args.min_support)
     if args.filter_redundant:
         rules = apriori.filter_redundant(rules)
     render = serialize.rules_to_jsonl if args.format == "jsonl" else serialize.rules_to_text
@@ -258,7 +262,8 @@ def _cmd_selftest(args) -> int:
     )
 
     ds = fixtures.sample_rule_dataset()
-    end_to_end = apriori.filter_redundant(apriori.mine(ds, Fraction(4, 5)))
+    cars = apriori.generate_cars(ds, apriori.mine_frequent(ds), Fraction(4, 5))
+    end_to_end = apriori.filter_redundant(cars)
     check(
         "end-to-end filtered mining yields the same two rules",
         {(r.sort_antecedent, r.consequent) for r in end_to_end}
@@ -280,7 +285,7 @@ def _cmd_selftest(args) -> int:
         "a tree built at 1 extracts the same rules at 3/4",
         agt.extract_rules(regrown, cfg) == agt_rules,
     )
-    base = apriori.mine(demo, Fraction(3, 4))
+    base = apriori.generate_cars(demo, apriori.mine_frequent(demo), Fraction(3, 4))
     check("baseline finds 7 rules on the demo dataset", len(base) == 7)
     check(
         "tree rules are a subset of the baseline rules",

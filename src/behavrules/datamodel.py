@@ -17,8 +17,9 @@ by the counts and partition by value (see RowCodes). The caches never
 change what a public method returns. The row layer (Instance,
 `instances`, Dataset(schema, instances), create, subset) serves only
 the tests and the benchmark.
-Confidence values are exact rationals (support / coverage), so threshold
-comparisons like ">= 80%" never suffer float rounding.
+Confidence values are exact rationals (support / coverage), and every
+threshold is applied by confidence_test's integer cross-multiplication,
+so comparisons like ">= 80%" never suffer float rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 class SchemaViolation(ValueError):
@@ -58,6 +59,7 @@ class ContextSchema:
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
     behavior_classes: frozenset[str]
     attribute_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.attributes)
@@ -77,6 +79,7 @@ class ContextSchema:
         if any(not c for c in self.behavior_classes):
             raise SchemaViolation("empty behavior class label")
         object.__setattr__(self, "attribute_names", names)
+        object.__setattr__(self, "_domains", dict(self.attributes))
 
     @classmethod
     def create(cls, attributes, behavior_classes) -> "ContextSchema":
@@ -85,10 +88,9 @@ class ContextSchema:
         return cls(attrs, frozenset(behavior_classes))
 
     def domain(self, attr: str) -> tuple[str, ...]:
-        for name, domain in self.attributes:
-            if name == attr:
-                return domain
-        raise SchemaViolation("unknown attribute %r" % attr)
+        if attr not in self._domains:
+            raise SchemaViolation("unknown attribute %r" % attr)
+        return self._domains[attr]
 
     def fingerprint(self) -> str:
         """Stable hash of the schema shape, insensitive to domain order."""
@@ -140,8 +142,8 @@ class RowCodes:
     dataset rows equal to distinct row d. values[attr][d] is the index of
     row d's value in attr's domain, and value_class[attr][d] is
     values[attr][d] * len(labels) + the index of row d's class in labels,
-    so one tally of value_class codes weighted by counts counts rows by
-    value and class at once.
+    so one pass over the value_class codes weighted by counts counts rows
+    by value and class at once. Only tally reads value_class.
     """
 
     labels: tuple[str, ...]  # behavior classes, sorted
@@ -166,15 +168,21 @@ class RowCodes:
             value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
         return cls(labels, values, value_class, list(counts))
 
-    def tally(self, attr: str, rows: Iterable[int]) -> dict[int, int]:
-        """Dataset rows per value-by-class code of attr among rows, distinct-row
-        ids, each weighted by its count; codes in order of their first row."""
+    def tally(self, attr: str, rows: Iterable[int]) -> list[tuple[int, dict[str, int]]]:
+        """(value index, dataset rows per class) of each value of attr among rows,
+        distinct-row ids each weighted by its count; values ascending, like
+        partition's groups, and each value's classes in first-row order."""
         value_class, weights = self.value_class[attr], self.counts
         tally: dict[int, int] = {}
         for row in rows:
             code = value_class[row]
             tally[code] = tally.get(code, 0) + weights[row]
-        return tally
+        labels = self.labels
+        by_value: dict[int, dict[str, int]] = {}
+        for code, count in tally.items():
+            v, b = divmod(code, len(labels))
+            by_value.setdefault(v, {})[labels[b]] = count
+        return sorted(by_value.items())
 
     def partition(self, attr: str, rows: Iterable[int]) -> list[list[int]]:
         """rows, ascending distinct-row ids, grouped by their value of attr;
@@ -391,14 +399,15 @@ class RuleStats:
         return Fraction(self.support, self.coverage)
 
 
-def threshold_terms(threshold) -> tuple[int, int]:
-    """(num, den) of an exact threshold t, den > 0.
+def confidence_test(threshold) -> Callable[[int, int], bool]:
+    """The exact test support / coverage >= threshold, for coverage > 0.
 
-    support/coverage >= t exactly when support * den >= num * coverage, so
-    hot loops test thresholds with integers and build no Fraction.
+    It cross-multiplies integers, so hot loops build no Fraction. The
+    threshold's range is not checked: callers that need (0, 1] check it.
     """
     t = Fraction(threshold)
-    return t.numerator, t.denominator
+    num, den = t.numerator, t.denominator
+    return lambda support, coverage: support * den >= num * coverage
 
 
 def rule_stats(ds: Dataset, antecedent: Iterable[Condition], consequent: str) -> RuleStats:

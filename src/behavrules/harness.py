@@ -2,7 +2,7 @@
 
 Each rule either miner emits is emitted on one threshold interval, so a
 sweep mines once and counts, per threshold, the intervals that hold it,
-testing each distinct interval once.
+testing each distinct interval's ends once with datamodel.confidence_test.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import agt, apriori
-from .datamodel import ConfigError, Dataset, threshold_terms
+from .datamodel import ConfigError, Dataset, confidence_test
 
 DEFAULT_THRESHOLDS = tuple(
     Fraction(p, 100) for p in (100, 95, 90, 85, 80, 75, 70, 65, 60)
@@ -50,10 +50,9 @@ def _count(intervals: Counter, t: Fraction) -> int:
     intervals maps each distinct interval to its multiplicity; far fewer
     intervals are distinct than there are rules.
     """
-    num, den = threshold_terms(t)
+    meets = confidence_test(t)
     return sum(
-        n for ((ls, lc), (s, c)), n in intervals.items()
-        if ls * den < num * lc and s * den >= num * c
+        n for ((ls, lc), (s, c)), n in intervals.items() if not meets(ls, lc) and meets(s, c)
     )
 
 
@@ -94,7 +93,8 @@ def sweep(
     baseline_error = None
     if thresholds:
         try:
-            cars = apriori.mine(ds, min(thresholds), min_support)
+            cars = apriori.generate_cars(
+                ds, apriori.mine_frequent(ds, min_support), min(thresholds), min_support)
         except (ValueError, ArithmeticError) as exc:
             baseline_error = exc
         else:

@@ -107,10 +107,8 @@ class SegmentationConfig:
         object.__setattr__(self, "table", tuple(table))
 
     def labels(self) -> list[str]:
-        """All labels this config can produce (minus "Unsegmented")."""
-        if self.mode == "custom-boundaries":
-            return [seg.name() for seg in self.segments]
-        return list(dict.fromkeys(self.table))
+        """All labels this config can produce, each once in week order (minus "Unsegmented")."""
+        return [label for label in dict.fromkeys(self.table) if label != UNSEGMENTED]
 
 
 _HHMM = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
@@ -238,7 +236,7 @@ def parse_timestamp(text: str) -> datetime:
 def load_log(
     path: str,
     mapping: ColumnMapping,
-    seg: SegmentationConfig = SegmentationConfig(),
+    seg: Optional[SegmentationConfig] = None,
     strict: bool = False,
 ) -> tuple[Dataset, IngestSummary]:
     """One row per valid record; schema domains come from observed values.
@@ -251,7 +249,7 @@ def load_log(
     minute of the week, whatever the segmentation mode.
     """
     summary = IngestSummary()
-    table = seg.table
+    table = (seg or SegmentationConfig()).table
     times: list[str] = []
     contexts: list[list[str]] = [[] for _ in mapping.context_cols]
     behaviors: list[str] = []

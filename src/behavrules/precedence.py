@@ -4,12 +4,11 @@ The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
 reproducible. A node's rows are a list of ascending distinct-row ids
-(see Dataset.codes), and one RowCodes.tally of their value-by-class
-codes, each weighted by the number of dataset rows its distinct row
-stands for, gives the class counts of every child of a split, so the
-tree can rank the rows of any node without building a sub-dataset.
-Apriori counts its itemsets with the same tally.
-"""
+(see Dataset.codes), and one RowCodes.tally of them, each weighted by
+the number of dataset rows its distinct row stands for, gives the class
+counts of every child of a split, so the tree can rank the rows of any
+node without building a sub-dataset. Apriori counts its itemsets with
+the same tally."""
 
 from __future__ import annotations
 
@@ -53,25 +52,17 @@ def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -
     """Partition rows, ascending distinct-row ids of ds (see Dataset.codes), by attr.
 
     counts are the class counts of the dataset rows that rows stand for,
-    in first-row order. One tally of the rows' value-by-class codes (see
-    RowCodes.tally) gives every child's class counts; distinct rows keep
-    their first occurrence's order, so each child's classes come in
-    first-row order. Children are summed in domain order, so the gain is
-    the same float however the rows are counted.
+    in first-row order. One RowCodes.tally gives every child's class
+    counts, in first-row order too. Children are summed in domain order,
+    so the gain is the same float however the rows are counted.
     """
     domain = ds.schema.domain(attr)  # also rejects an unknown attribute
     n = sum(counts.values())
     if n == 0:
         return Split(attr, 0.0, [])
-    labels = ds.codes.labels
-    by_value: dict[int, dict[str, int]] = {}
-    for code, count in ds.codes.tally(attr, rows).items():
-        v, b = divmod(code, len(labels))
-        by_value.setdefault(v, {})[labels[b]] = count
     children = []
     split_entropy = 0.0
-    for v in sorted(by_value):
-        child = by_value[v]
+    for v, child in ds.codes.tally(attr, rows):
         size = sum(child.values())
         split_entropy += (size / n) * _entropy(child.values(), size)
         children.append((domain[v], child))
@@ -93,13 +84,10 @@ def _compare(a: Split, b: Split) -> int:
     return -1 if a.attr < b.attr else (1 if a.attr > b.attr else 0)
 
 
-def rank_splits(
-    ds: Dataset, rows: Sequence[int], counts: dict[str, int], candidates: Sequence[str]
-) -> list[Split]:
-    """Splits of rows by each candidate, highest gain first; ties by name."""
-    splits = [split(ds, rows, counts, name) for name in candidates]
-    splits.sort(key=cmp_to_key(_compare))
-    return splits
+def rank_splits(splits: Iterable[Split]) -> list[Split]:
+    """The splits, highest gain first; ties by name. The tolerance is not
+    transitive, so the result may depend on the order given: give candidate order."""
+    return sorted(splits, key=cmp_to_key(_compare))
 
 
 @dataclass(frozen=True)
@@ -123,5 +111,6 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     """Rank candidate attributes by gain, descending; ties by name."""
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
-    splits = rank_splits(ds, range(len(ds.codes.counts)), ds.class_counts(), candidates)
+    rows, counts = range(len(ds.codes.counts)), ds.class_counts()
+    splits = rank_splits(split(ds, rows, counts, name) for name in candidates)
     return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits))

@@ -114,7 +114,8 @@ def reference_sweep(ds, thresholds, min_support=1):
     baseline_error = None
     if thresholds:
         try:
-            all_rules = apriori.mine(ds, min(thresholds), min_support)
+            frequent = apriori.mine_frequent(ds, min_support)
+            all_rules = apriori.generate_cars(ds, frequent, min(thresholds), min_support)
         except (ValueError, ArithmeticError) as exc:
             baseline_error = exc
     rows = []

@@ -181,7 +181,7 @@ class TestProperties:
         for ds in self._corpus():
             for t in (Fraction(3, 5), Fraction(4, 5), Fraction(1)):
                 agt_rules = rule_keys(_mine(ds, MiningConfig(t)))
-                base = rule_keys(apriori.mine(ds, t))
+                base = rule_keys(apriori.generate_cars(ds, apriori.mine_frequent(ds), t))
                 assert agt_rules <= base
 
     def test_no_parent_child_redundant_pair_in_output(self):

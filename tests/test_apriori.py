@@ -11,7 +11,6 @@ import behavrules
 from behavrules.apriori import (
     filter_redundant,
     generate_cars,
-    mine,
     mine_frequent,
 )
 from behavrules.datamodel import ConfigError, Dataset, Rule
@@ -23,6 +22,10 @@ from behavrules.fixtures import (
 )
 
 from oracles import brute_force_cars, random_dataset, rule_keys
+
+
+def _cars(ds, threshold):
+    return generate_cars(ds, mine_frequent(ds), threshold)
 
 
 def _itemsets(frequent):
@@ -74,7 +77,7 @@ class TestMineFrequent:
 
 class TestGenerateCars:
     def test_demo_at_75_has_seven_rules(self):
-        rules = mine(demo_dataset(), Fraction(3, 4))
+        rules = _cars(demo_dataset(), Fraction(3, 4))
         expected = {
             (frozenset({("Relation", "Boss")}), "Accept", 3, 3),
             (frozenset({("Relation", "Friend")}), "Reject", 4, 5),
@@ -89,8 +92,8 @@ class TestGenerateCars:
         assert (frozenset({("Activity", "Meeting")}), "Reject", 4, 6) not in rule_keys(rules)
 
     def test_demo_at_100_drops_friend_reject(self):
-        at75 = rule_keys(mine(demo_dataset(), Fraction(3, 4)))
-        at100 = rule_keys(mine(demo_dataset(), Fraction(1)))
+        at75 = rule_keys(_cars(demo_dataset(), Fraction(3, 4)))
+        at100 = rule_keys(_cars(demo_dataset(), Fraction(1)))
         assert at100 == at75 - {(frozenset({("Relation", "Friend")}), "Reject", 4, 5)}
 
     def test_vacuous_threshold_gives_empty_list(self):
@@ -101,15 +104,15 @@ class TestGenerateCars:
             schema, [Instance({"A": "x"}, "c1"), Instance({"A": "x"}, "c2")]
         )
         # every condition set sits at 50% confidence, so nothing reaches 100%
-        assert mine(ds, Fraction(1)) == []
-        assert mine(Dataset.create(demo_schema(), []), Fraction(1)) == []
+        assert _cars(ds, Fraction(1)) == []
+        assert _cars(Dataset.create(demo_schema(), []), Fraction(1)) == []
 
     def test_monotone_in_threshold(self):
         rng = random.Random(61)
         for _ in range(30):
             ds = random_dataset(rng)
-            lower = rule_keys(mine(ds, Fraction(3, 5)))
-            higher = rule_keys(mine(ds, Fraction(9, 10)))
+            lower = rule_keys(_cars(ds, Fraction(3, 5)))
+            higher = rule_keys(_cars(ds, Fraction(9, 10)))
             assert higher <= lower
 
     def test_matches_brute_force_enumeration(self):
@@ -117,7 +120,7 @@ class TestGenerateCars:
         for _ in range(40):
             ds = random_dataset(rng)
             for t in (Fraction(1, 2), Fraction(4, 5)):
-                assert rule_keys(mine(ds, t)) == brute_force_cars(ds, t)
+                assert rule_keys(_cars(ds, t)) == brute_force_cars(ds, t)
 
 
 class TestFilterRedundant:
@@ -141,7 +144,7 @@ class TestFilterRedundant:
         rng = random.Random(81)
         for _ in range(30):
             ds = random_dataset(rng)
-            rules = mine(ds, Fraction(3, 5))
+            rules = _cars(ds, Fraction(3, 5))
             once = filter_redundant(rules)
             assert filter_redundant(once) == once
             for a in once:
@@ -153,7 +156,7 @@ class TestFilterRedundant:
                     )
 
     def test_end_to_end_sample_dataset(self):
-        rules = filter_redundant(mine(sample_rule_dataset(), Fraction(4, 5)))
+        rules = filter_redundant(_cars(sample_rule_dataset(), Fraction(4, 5)))
         assert {(r.sort_antecedent, r.consequent) for r in rules} == {
             ((("Activity", "Meeting"),), "Reject"),
             ((("Activity", "Meeting"), ("Relation", "Boss")), "Accept"),

@@ -1,13 +1,17 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from behavrules import serialize
+from behavrules.agt import MiningConfig, tree_to_dot
 from behavrules.cli import main
 from behavrules.fixtures import demo_dataset, sample_rule_dataset
+
+from oracles import reference_tree
 
 GEN_SPEC = {
     "attributes": {
@@ -46,6 +50,14 @@ LOG_TEXT = (
 )
 
 
+def _constant_columns(tmp_path, width, classes):
+    """A dataset file of width constant columns, one row per class label."""
+    header = ",".join("a%d" % i for i in range(width)) + ",behavior"
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join([header] + [",".join(["x"] * width + [c]) for c in classes]))
+    return path
+
+
 @pytest.fixture
 def demo_csv(tmp_path):
     path = tmp_path / "demo.csv"
@@ -79,9 +91,7 @@ class TestMining:
 
     def test_deep_tree_mines_under_a_low_recursion_limit(self, tmp_path, capsys):
         # 300 constant columns over classes A/B/A/B grow a chain 301 nodes deep
-        header = ",".join("a%d" % i for i in range(300)) + ",behavior"
-        path = tmp_path / "wide.csv"
-        path.write_text("\n".join([header] + [",".join(["x"] * 300 + [c]) for c in "ABAB"]))
+        path = _constant_columns(tmp_path, 300, "ABAB")
         dot = tmp_path / "tree.dot"
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
@@ -92,13 +102,31 @@ class TestMining:
         assert code == 0
         assert dot.read_text().count(" -> ") == 300
 
+    def test_a_chain_of_lone_children_splits_each_attribute_once(self, tmp_path, monkeypatch):
+        from behavrules import agt, precedence
+
+        path = _constant_columns(tmp_path, 300, "ABAB")
+        calls = []
+        for module in (agt, precedence):
+
+            def counted(ds, rows, counts, attr, split=module.split):
+                calls.append(attr)
+                return split(ds, rows, counts, attr)
+
+            monkeypatch.setattr(module, "split", counted)
+        dot = tmp_path / "tree.dot"
+        assert main(["mine-agt", str(path), "--min-conf", "50", "--dot", str(dot)]) == 0
+        # a lone child holds its parent's rows and ranks the parent's other
+        # splits, so only the root tallies: 300 calls, not 300 + 299 + ... + 1
+        assert len(calls) <= 300
+        ds = serialize.dataset_from_csv(path.read_text())
+        assert dot.read_text() == tree_to_dot(reference_tree(ds, MiningConfig(Fraction(1, 2))))
+
     def test_apriori_stops_at_its_itemset_bound_in_seconds(self, tmp_path, capsys):
         # 1,200 constant columns hold 2**1200 - 1 frequent itemsets
         from behavrules.apriori import MAX_ITEMSETS
 
-        header = ",".join("a%d" % i for i in range(1200)) + ",behavior"
-        path = tmp_path / "wide.csv"
-        path.write_text("\n".join([header] + [",".join(["x"] * 1200 + [c]) for c in "ABAC"]))
+        path = _constant_columns(tmp_path, 1200, "ABAC")
         reason = "more than %d frequent itemsets (apriori.MAX_ITEMSETS)" % MAX_ITEMSETS
         assert main(["mine-apriori", str(path), "--min-conf", "80"]) == 1
         captured = capsys.readouterr()
@@ -151,6 +179,12 @@ class TestErrors:
 
     def test_bad_threshold_exits_1(self, demo_csv, capsys):
         assert main(["mine-agt", demo_csv, "--min-conf", "0"]) == 1
+
+    def test_unknown_class_filter_exits_1(self, demo_csv, capsys):
+        assert main(["mine-agt", demo_csv, "--min-conf", "75", "--classes", "Accept", "Acept"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown behavior class 'Acept'\n"
 
     @pytest.mark.parametrize(
         "tail",

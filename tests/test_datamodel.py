@@ -11,6 +11,7 @@ from behavrules.datamodel import (
     Instance,
     Rule,
     SchemaViolation,
+    confidence_test,
     rule_stats,
 )
 from behavrules.fixtures import demo_dataset, demo_schema
@@ -209,3 +210,23 @@ class TestRule:
         ds = Dataset.create(demo_schema(), [])
         assert len(ds.subset("Activity", "Lunch")) == 0
         assert ds.class_counts() == {}
+
+
+class TestConfidenceTest:
+    # any range: the sweep mines at its lowest threshold even when that is invalid
+    @given(
+        t=st.fractions(min_value=-2, max_value=2, max_denominator=30),
+        coverage=st.integers(1, 400),
+        data=st.data(),
+    )
+    def test_agrees_with_the_exact_comparison(self, t, coverage, data):
+        support = data.draw(st.integers(0, coverage))
+        assert confidence_test(t)(support, coverage) == (Fraction(support, coverage) >= t)
+
+    @given(t=st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool),
+           k=st.integers(1, 50))
+    def test_a_confidence_equal_to_the_threshold_meets_it(self, t, k):
+        support, coverage = t.numerator * k, t.denominator * k
+        assert Fraction(support, coverage) == t
+        assert confidence_test(t)(support, coverage)
+        assert not confidence_test(t)(support - 1, coverage)

@@ -286,6 +286,26 @@ def edge_datasets(draw):
 
 
 @SETTINGS
+@given(ds=st.one_of(duplicate_heavy_datasets(), edge_datasets()), data=st.data())
+def test_tally_counts_like_a_scan_of_the_instances(ds, data):
+    rows, _ = ds.distinct
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    chosen = [d for d, kept in enumerate(keep) if kept]  # ascending distinct-row ids
+    wanted = {rows[d] for d in chosen}
+    names = ds.schema.attribute_names
+    for attr in names:
+        domain = ds.schema.domain(attr)
+        expected = {}
+        for inst in ds.instances:  # in row order, so classes come in first-row order
+            if (*(inst.values[name] for name in names), inst.behavior) in wanted:
+                by_class = expected.setdefault(domain.index(inst.values[attr]), {})
+                by_class[inst.behavior] = by_class.get(inst.behavior, 0) + 1
+        got = ds.codes.tally(attr, chosen)
+        assert [(v, list(by_class.items())) for v, by_class in got] == \
+            [(v, list(expected[v].items())) for v in sorted(expected)]
+
+
+@SETTINGS
 @given(
     ds=st.one_of(datasets(), duplicate_heavy_datasets(), edge_datasets()),
     min_support=st.integers(1, 4),
@@ -315,7 +335,8 @@ def test_filtered_apriori_keeps_the_minimal_brute_force_rules(ds, t, min_support
         rule for rule in every
         if not any(other[1] == rule[1] and other[0] < rule[0] for other in every)
     }
-    assert rule_keys(apriori.filter_redundant(apriori.mine(ds, t, min_support))) == minimal
+    cars = apriori.generate_cars(ds, apriori.mine_frequent(ds, min_support), t, min_support)
+    assert rule_keys(apriori.filter_redundant(cars)) == minimal
 
 
 def _breakpoints(ds):

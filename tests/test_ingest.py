@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import behavrules
 from behavrules.datamodel import ConfigError
 from behavrules.ingest import (
     ColumnMapping,
@@ -130,6 +135,13 @@ class TestSegmentation:
             labels = cfg.labels()
             assert len(labels) == 7 * (24 // hours)
             assert len(set(labels)) == len(labels)
+
+    def test_a_label_shared_by_two_custom_segments_is_listed_once(self):
+        cfg = _custom(
+            ("Friday", "10:00", "12:00", "Busy"), ("Monday", "08:00", "09:00"),
+            ("Saturday", "10:00", "12:00", "Busy"),
+        )
+        assert cfg.labels() == ["Monday[08:00-09:00]", "Busy"]
 
     def test_bad_bucket_hours_rejected(self):
         for hours in (5, 0, -2, 48, 2.0, "2", None):
@@ -355,3 +367,19 @@ class TestLoadLog:
             "Unsegmented", "Late", "Friday[09:00-09:30]",
         ]
         assert summary.unsegmented == 1
+
+
+def test_importing_the_package_builds_no_segmentation_config():
+    # load_log builds its default config when called, not when imported
+    code = (
+        "import gc, behavrules.cli\n"
+        "from behavrules.ingest import SegmentationConfig\n"
+        "print(sum(isinstance(o, SegmentationConfig) for o in gc.get_objects()))\n"
+    )
+    src = Path(behavrules.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
