@@ -96,7 +96,6 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     if not contexts:
         raise ConfigError("schema has no context attributes")
 
-    global_order: Optional[list[str]] = None  # the root's ranking, in global mode
     next_id = 1
     top: list[AgtNode] = []
 
@@ -112,20 +111,23 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
         if node.support == node.size or not remaining:
             continue  # pure node or exhausted contexts: leaf
 
-        if global_order is None:
+        if global_ranking and branch is not None:
+            # below the root, remaining is in the root's ranking order
+            best = split(ds, rows, counts, remaining[0])
+            rest = remaining[1:]
+        else:
             if splits is None:  # in remaining order, as rank_splits needs
                 splits = [split(ds, rows, counts, a) for a in remaining]
             ranked = rank_splits(splits)
             best = ranked[0]
             if global_ranking:
-                global_order = [s.attr for s in ranked]
+                rest = [s.attr for s in ranked[1:]]
+            else:
+                rest = [a for a in remaining if a != best.attr]
             # a lone child holds this node's rows, so it ranks the other splits
             lone = len(best.children) == 1 and not global_ranking
             splits = [s for s in splits if s is not best] if lone else None
-        else:
-            best = split(ds, rows, counts, next(a for a in global_order if a in remaining))
         node.split_attribute = best.attr
-        rest = [a for a in remaining if a != best.attr]
         if rest:
             groups = ds.codes.partition(best.attr, rows)  # the children's order
         else:

@@ -35,7 +35,8 @@ def _out_path(path: str) -> str:
 
 
 def _load_dataset(path: str):
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would join the first column's name
+    with open(path, encoding="utf-8-sig") as fh:
         return serialize.dataset_from_csv(fh)
 
 

@@ -253,7 +253,7 @@ def load_log(
     times: list[str] = []
     contexts: list[list[str]] = [[] for _ in mapping.context_cols]
     behaviors: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # drops a byte-order mark
         reader = csv.reader(fh, delimiter=mapping.delimiter)
         try:
             header = next(reader, [])

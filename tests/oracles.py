@@ -3,10 +3,12 @@
 Rules are found by exhaustive enumeration with direct counting, with no
 candidate pruning; the reference tree, filter and frequent itemsets are
 the row-scanning, pairwise and level-wise bitset versions the package
-replaced; and the reference loaders, encoder and generator build one
+replaced; the reference loaders, encoder and generator build one
 dict and one Instance per row, as the package did before datasets were
-stored as columns. None of these shares code with the package's
-mining, loading or generating paths. The one exception is the reference
+stored as columns; and the reference dataset writer hands every row to
+csv.writer, as the package did before it quoted each value once. None
+of these shares code with the package's mining, loading, writing or
+generating paths. The one exception is the reference
 sweep: it calls the package's miners afresh for every threshold and
 counts the rules they return, where the sweep counts each rule's
 threshold interval from one tree and one redundancy pass.
@@ -425,6 +427,19 @@ def reference_dataset_from_csv(text):
     if not rows:
         raise SchemaViolation("dataset file has no rows")
     return _instances_dataset(attrs, domains, classes, rows)
+
+
+def reference_dataset_to_csv(ds):
+    """A dataset file written row by row through csv.writer."""
+    if BEHAVIOR_COLUMN in ds.schema.attribute_names:
+        raise SchemaViolation(
+            "context attribute %r collides with the class column" % BEHAVIOR_COLUMN
+        )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(ds.schema.attribute_names) + [BEHAVIOR_COLUMN])
+    writer.writerows(zip(*ds.columns, ds.behaviors))
+    return buf.getvalue()
 
 
 def reference_segment_timestamp(ts, cfg):

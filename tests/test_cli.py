@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +124,15 @@ class TestMining:
         assert len(calls) <= 300
         ds = serialize.dataset_from_csv(path.read_text())
         assert dot.read_text() == tree_to_dot(reference_tree(ds, MiningConfig(Fraction(1, 2))))
+
+    def test_global_ranking_on_a_chain_matches_the_reference_tree(self, tmp_path):
+        path = _constant_columns(tmp_path, 300, "ABAB")
+        dot = tmp_path / "tree.dot"
+        argv = ["mine-agt", str(path), "--min-conf", "80", "--global-ranking", "--dot", str(dot)]
+        assert main(argv) == 0
+        ds = serialize.dataset_from_csv(path.read_text())
+        cfg = MiningConfig(Fraction(4, 5), global_ranking=True)
+        assert dot.read_text() == tree_to_dot(reference_tree(ds, cfg))
 
     def test_apriori_stops_at_its_itemset_bound_in_seconds(self, tmp_path, capsys):
         # 1,200 constant columns hold 2**1200 - 1 frequent itemsets
@@ -631,6 +643,28 @@ class TestPipeline:
         ):
             assert main(argv) == 0, argv
 
+    def test_a_byte_order_mark_is_not_part_of_a_dataset_file(self, tmp_path, capsys):
+        text = serialize.dataset_to_csv(demo_dataset())
+        outputs = []
+        for name, data in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path, dot = tmp_path / (name + ".csv"), tmp_path / (name + ".dot")
+            path.write_bytes(data + text.encode("utf-8"))
+            assert main(["rank", str(path)]) == 0
+            assert main(["mine-agt", str(path), "--min-conf", "75", "--dot", str(dot)]) == 0
+            outputs.append((capsys.readouterr().out, dot.read_bytes()))
+        assert "\ufeff" not in outputs[1][0] and outputs[0] == outputs[1]
+
+    def test_a_byte_order_mark_is_not_part_of_a_call_log(self, tmp_path, capsys):
+        mapping = tmp_path / "map.conf"
+        mapping.write_text(MAPPING_TEXT)
+        outputs = []
+        for name, data in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            log, out = tmp_path / (name + ".log"), tmp_path / (name + ".csv")
+            log.write_bytes(data + LOG_TEXT.encode("utf-8"))
+            assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_mine_agt_reads_lf_and_crlf_files_alike(self, tmp_path, capsys):
         from pathlib import Path
 
@@ -649,6 +683,14 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 7
+
+    def test_python_m_behavrules_runs_the_command_line(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "behavrules", "selftest"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("PASS") == 7
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, demo_csv, capsys):
         monkeypatch.setenv("BEHAVRULES_OUT", str(tmp_path))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from behavrules import serialize
 from behavrules.datamodel import (
     ContextSchema,
     Dataset,
@@ -31,6 +32,7 @@ from behavrules.serialize import dataset_from_csv, dataset_to_csv
 
 from oracles import (
     reference_dataset_from_csv,
+    reference_dataset_to_csv,
     reference_load_log,
     reference_row_codes,
 )
@@ -178,6 +180,97 @@ def test_loading_into_distinct_rows_matches_column_built_and_reference(tmp_path,
         assert ds.columns == built.columns and ds.behaviors == built.behaviors
         assert ds.instances == built.instances == tuple(instances)
         assert ds.distinct == built.distinct
+
+
+class _CountingReader:
+    """A csv.reader that counts the records it returns."""
+
+    def __init__(self, reader, records):
+        self.reader, self.records = reader, records
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.reader)
+        self.records.append(row)
+        return row
+
+    @property
+    def line_num(self):
+        return self.reader.line_num
+
+
+def test_a_repeated_line_is_parsed_once(tmp_path, monkeypatch):
+    records = []
+    reader = csv.reader
+    monkeypatch.setattr(serialize.csv, "reader",
+                        lambda *args, **kwargs: _CountingReader(reader(*args, **kwargs), records))
+    text = "A,behavior\n" + "x,P\ny,Q\n\"a,b\",P\n" * 10_000
+    path = tmp_path / "dataset.csv"
+    path.write_text(text)
+    with open(path, encoding="utf-8") as fh:
+        ds = dataset_from_csv(fh)
+    assert len(records) <= 4  # the header and each distinct line
+    assert len(ds) == 30_000 and len(ds.distinct[0]) == 3
+    records.clear()
+    assert dataset_from_csv(text) == ds and len(records) <= 4
+
+
+@pytest.mark.parametrize("text", [
+    # a line alone, then as the continuation of a quoted cell, then alone
+    'A,behavior\nb",P\n"a\nb",P\nb",P\n',
+    # the same line as a continuation first, then alone
+    'A,behavior\n"a\nb",P\nb",P\nb",P\n',
+    # a multi-line record twice, and its first line alone
+    'A,behavior\n"a\nb",P\n"a\nb",P\n"a\nx,Q\n',
+    # a last line without its newline, equal in text to an earlier line
+    "A,behavior\nx,P\ny,Q\nx,P",
+    # blank lines between duplicates
+    "A,behavior\nx,P\n\nx,P\n\n\nx,P\n\n",
+    # LF and CR LF copies of one row
+    "A,behavior\r\nx,P\r\nx,P\nx,P\r\ny,Q\nx,P",
+    # a bad row after the repeats of a good one
+    "A,behavior\nx,P\nx,P\nx,P,extra\ny\n",
+])
+def test_loading_distinct_lines_matches_the_reference(tmp_path, text):
+    try:
+        schema, instances = reference_dataset_from_csv(text)
+    except SchemaViolation as exc:
+        for got in _load_both_ways(text, tmp_path):
+            _assert_same_failure(got, exc)
+        return
+    for ds in _load_both_ways(text, tmp_path):
+        assert ds.schema == schema and ds.instances == tuple(instances)
+        assert ds.codes == reference_row_codes(schema, instances)
+
+
+# values csv must quote, or (CR, with "\n" line ends) must not; non-ASCII
+VALUE = st.text(alphabet='ab ,"\r\né€', min_size=1, max_size=4)
+
+
+@st.composite
+def writable_datasets(draw):
+    """A column-built dataset, zero to 12 rows, maybe with no context attribute."""
+    attrs = draw(st.lists(NAME.filter(lambda n: n != "behavior"), max_size=3, unique=True))
+    domains = [draw(st.lists(VALUE, min_size=1, max_size=4, unique=True)) for _ in attrs]
+    classes = draw(st.lists(VALUE, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 12))
+    columns = [[draw(st.sampled_from(domain)) for _ in range(n)] for domain in domains]
+    behaviors = [draw(st.sampled_from(classes)) for _ in range(n)]
+    schema = ContextSchema.create(zip(attrs, domains), classes)
+    return Dataset.from_columns(schema, columns, behaviors)
+
+
+@SETTINGS
+@given(writable_datasets())
+def test_dataset_to_csv_writes_the_bytes_of_a_row_wise_writer(ds):
+    text = dataset_to_csv(ds)
+    assert text == reference_dataset_to_csv(ds)
+    if len(ds) and "\r" not in text:  # csv.writer leaves a CR unquoted
+        loaded = dataset_from_csv(text)  # domains: the values seen, in order
+        assert (loaded.columns, loaded.behaviors) == (ds.columns, ds.behaviors)
+        assert dataset_to_csv(loaded) == reference_dataset_to_csv(loaded) == text
 
 
 STAMPS = st.one_of(
