@@ -3,8 +3,8 @@
 A dataset file costs what its distinct content costs. It loads as its
 weighted distinct rows (Dataset.from_distinct): each distinct line is
 CSV-parsed once, at its first occurrence, and each repeat costs one dict
-lookup and adds only its row's id. Writing quotes each distinct value
-and class label once and joins the rendered cells of each line.
+lookup and adds only its row's id. Dataset files and synth's call logs
+are written by one renderer that quotes each distinct value once.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from array import array
+from itertools import chain
 from typing import TextIO
 
 from .datamodel import ContextSchema, Dataset, Rule, SchemaViolation
@@ -28,25 +29,30 @@ class _Echo:
         return line
 
 
+def _csv_lines(header, columns, end: str):
+    """The header line, then each row's line, lazily. columns holds each column's
+    values and a dict from each value to its non-empty field. csv.writer renders
+    each field once, quoting it by its own characters and the line end, as it
+    would within a row; a line joins its rendered cells, the last ending it."""
+    render = csv.writer(_Echo(), lineterminator=end).writerow  # returns the line
+    keep = [-len(end)] * (len(columns) - 1) + [None]  # the last cell ends its line
+    cells = [map({v: render((f,))[:k] for v, f in fields.items()}.__getitem__, values)
+             for (values, fields), k in zip(columns, keep)]
+    return chain((render(header),), map(",".join, zip(*cells)))
+
+
 def dataset_to_csv(ds: Dataset) -> str:
     """Canonical dataset file: context columns plus a trailing behavior column.
 
-    Each distinct value is quoted once, by the one csv.writer dialect, and
-    each line joins its cells' renderings. The bytes are csv.writer's:
-    QUOTE_MINIMAL quotes a field by its own characters, and schema values
-    are never empty, so a cell renders alike alone and within a row.
+    Each distinct domain value and class label (never empty) is quoted once.
     """
     if BEHAVIOR_COLUMN in ds.schema.attribute_names:
         raise SchemaViolation(
             "context attribute %r collides with the class column" % BEHAVIOR_COLUMN
         )
-    render = csv.writer(_Echo(), lineterminator="\n").writerow  # returns the line
-    header = render(list(ds.schema.attribute_names) + [BEHAVIOR_COLUMN])
-    cell = {v: render((v,))[:-1] for _, domain in ds.schema.attributes for v in domain}
-    last = {c: render((c,)) for c in ds.schema.behavior_classes}  # ends its line
-    lines = zip(*[map(cell.__getitem__, column) for column in ds.columns],
-                map(last.__getitem__, ds.behaviors))
-    return header + "".join(map(",".join, lines))
+    domains = [domain for _, domain in ds.schema.attributes] + [ds.schema.behavior_classes]
+    columns = list(zip([*ds.columns, ds.behaviors], [dict(zip(d, d)) for d in domains]))
+    return "".join(_csv_lines([*ds.schema.attribute_names, BEHAVIOR_COLUMN], columns, "\n"))
 
 
 class _Pending:

@@ -10,14 +10,12 @@ kept stable so identical arguments always reproduce the same dataset.
 
 from __future__ import annotations
 
-import csv
 import os
 import random
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable
 
 from .datamodel import Condition, ContextSchema, Dataset
@@ -30,6 +28,7 @@ from .ingest import (
     REJECT,
     TIME_ATTRIBUTE,
 )
+from .serialize import _csv_lines
 
 CONFIDENCE_SLACK = Fraction(2, 100)
 
@@ -144,7 +143,8 @@ _BASE_DATES = {  # a fixed week: 2004-09-13 was a Monday
 }
 _LABEL_RE = re.compile(r"^(\w+)\[(\d{2}):(\d{2})-\d{2}:\d{2}\]$")
 
-_BEHAVIOR_TO_CALL = {
+_CALL_COLUMNS = ("timestamp", "call_type", "duration")
+_BEHAVIOR_TO_CALL = {  # behavior -> (call type, duration)
     ACCEPT: ("incoming", "60"),
     REJECT: ("incoming", "0"),
     MISSED: ("missed", "0"),
@@ -168,11 +168,13 @@ def write_log(ds: Dataset, out) -> None:
     """Write ds as a raw call log (timestamp/type/duration + context columns).
 
     out is a file path, written with csv's default CRLF line ends, or an
-    open text stream, written with "\n" line ends. Behavior classes must
-    be the four call classes so they survive the round trip through
-    behavior derivation. A "Time" attribute, when present, is inverted to
-    timestamps inside its segment; otherwise rows get a fixed placeholder
-    timestamp.
+    open text stream, written with "\n" line ends; serialize renders the
+    lines. Behavior classes must be the four call classes so they survive
+    the round trip through behavior derivation. A "Time" attribute, when
+    present, is inverted to timestamps inside its segment; otherwise rows
+    get a fixed placeholder timestamp. Context attributes named like a
+    call-record column and context values with outer whitespace, which
+    ingest strips, are refused before anything is written.
     """
     unknown = set(ds.schema.behavior_classes) - set(BEHAVIOR_CLASSES)
     if unknown:
@@ -180,19 +182,23 @@ def write_log(ds: Dataset, out) -> None:
             "classes %r cannot be encoded as call records" % sorted(unknown)
         )
     names = ds.schema.attribute_names
-    context_cols = [a for a in names if a != TIME_ATTRIBUTE]
-    context = [values for a, values in zip(names, ds.columns) if a != TIME_ATTRIBUTE]
     if TIME_ATTRIBUTE in names:
         labels = ds.columns[names.index(TIME_ATTRIBUTE)]
-        stamp = {label: _timestamp_for(label) for label in dict.fromkeys(labels)}
-        stamps = map(stamp.__getitem__, labels)
+        columns = [(labels, {label: _timestamp_for(label) for label in dict.fromkeys(labels)})]
     else:
-        stamps = repeat("2004-09-13 12:00:00")
-    calls = map(_BEHAVIOR_TO_CALL.__getitem__, ds.behaviors)
-    rows = ((ts, *call, *cells) for ts, call, *cells in zip(stamps, calls, *context))
-    header = ["timestamp", "call_type", "duration"] + context_cols
+        columns = [(ds.behaviors, dict.fromkeys(_BEHAVIOR_TO_CALL, "2004-09-13 12:00:00"))]
+    columns += [(ds.behaviors, {b: c[i] for b, c in _BEHAVIOR_TO_CALL.items()}) for i in (0, 1)]
+    for (attr, domain), values in zip(ds.schema.attributes, ds.columns):
+        if attr == TIME_ATTRIBUTE:
+            continue
+        if attr in _CALL_COLUMNS:
+            raise GenerationError("context attribute %r collides with a call-record column" % attr)
+        for value in domain:
+            if value != value.strip():
+                raise GenerationError("context attribute %r value %r has outer whitespace, "
+                                      "which ingest strips" % (attr, value))
+        columns.append((values, dict(zip(domain, domain))))
+    header = [*_CALL_COLUMNS, *(attr for attr in names if attr != TIME_ATTRIBUTE)]
     to_path = isinstance(out, (str, os.PathLike))
     with open(out, "w", encoding="utf-8", newline="") if to_path else nullcontext(out) as fh:
-        writer = csv.writer(fh, lineterminator="\r\n" if to_path else "\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(_csv_lines(header, columns, "\r\n" if to_path else "\n"))

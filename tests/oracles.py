@@ -5,10 +5,10 @@ candidate pruning; the reference tree, filter and frequent itemsets are
 the row-scanning, pairwise and level-wise bitset versions the package
 replaced; the reference loaders, encoder and generator build one
 dict and one Instance per row, as the package did before datasets were
-stored as columns; and the reference dataset writer hands every row to
-csv.writer, as the package did before it quoted each value once. None
-of these shares code with the package's mining, loading, writing or
-generating paths. The one exception is the reference
+stored as columns; and the reference dataset and call-log writers hand
+every row to csv.writer, as the package did before it quoted each value
+once. None of these shares code with the package's mining, loading,
+writing or generating paths. The one exception is the reference
 sweep: it calls the package's miners afresh for every threshold and
 counts the rules they return, where the sweep counts each rule's
 threshold interval from one tree and one redundancy pass.
@@ -18,10 +18,13 @@ import csv
 import io
 import itertools
 import math
+import os
 import random
+from contextlib import nullcontext
 from datetime import datetime
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import repeat
 from typing import Iterable
 
 from behavrules.datamodel import (
@@ -34,6 +37,7 @@ from behavrules.datamodel import (
     SchemaViolation,
 )
 from behavrules.ingest import (
+    BEHAVIOR_CLASSES,
     DAY_NAMES,
     TIME_ATTRIBUTE,
     UNKNOWN_VALUE,
@@ -43,7 +47,13 @@ from behavrules.ingest import (
     derive_behavior,
 )
 from behavrules.serialize import BEHAVIOR_COLUMN
-from behavrules.synth import CONFIDENCE_SLACK, GenerationError, PlantedRuleSpec
+from behavrules.synth import (
+    _BEHAVIOR_TO_CALL,
+    CONFIDENCE_SLACK,
+    GenerationError,
+    PlantedRuleSpec,
+    _timestamp_for,
+)
 
 GAIN_TOLERANCE = 1e-12
 
@@ -440,6 +450,33 @@ def reference_dataset_to_csv(ds):
     writer.writerow(list(ds.schema.attribute_names) + [BEHAVIOR_COLUMN])
     writer.writerows(zip(*ds.columns, ds.behaviors))
     return buf.getvalue()
+
+
+def reference_write_log(ds, out):
+    """A raw call log written row by row through csv.writer, with no check
+    on attribute names or values beyond the call classes."""
+    unknown = set(ds.schema.behavior_classes) - set(BEHAVIOR_CLASSES)
+    if unknown:
+        raise GenerationError(
+            "classes %r cannot be encoded as call records" % sorted(unknown)
+        )
+    names = ds.schema.attribute_names
+    context_cols = [a for a in names if a != TIME_ATTRIBUTE]
+    context = [values for a, values in zip(names, ds.columns) if a != TIME_ATTRIBUTE]
+    if TIME_ATTRIBUTE in names:
+        labels = ds.columns[names.index(TIME_ATTRIBUTE)]
+        stamp = {label: _timestamp_for(label) for label in dict.fromkeys(labels)}
+        stamps = map(stamp.__getitem__, labels)
+    else:
+        stamps = repeat("2004-09-13 12:00:00")
+    calls = map(_BEHAVIOR_TO_CALL.__getitem__, ds.behaviors)
+    rows = ((ts, *call, *cells) for ts, call, *cells in zip(stamps, calls, *context))
+    header = ["timestamp", "call_type", "duration"] + context_cols
+    to_path = isinstance(out, (str, os.PathLike))
+    with open(out, "w", encoding="utf-8", newline="") if to_path else nullcontext(out) as fh:
+        writer = csv.writer(fh, lineterminator="\r\n" if to_path else "\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def reference_segment_timestamp(ts, cfg):

@@ -393,6 +393,32 @@ class TestInputErrors:
         out = capsys.readouterr().out
         assert out.encode() == log.read_bytes().replace(b"\r\n", b"\n")
 
+    @pytest.mark.parametrize(
+        "attributes,message",
+        [
+            ({"duration": ["short", "long"], "Place": ["Home"]},
+             "context attribute 'duration' collides with a call-record column"),
+            ({"Place": ["Home"], "timestamp": ["now"]},
+             "context attribute 'timestamp' collides with a call-record column"),
+            ({"call_type": ["voice"]},
+             "context attribute 'call_type' collides with a call-record column"),
+            ({"Place": [" Home", "Road"]},
+             "context attribute 'Place' value ' Home' has outer whitespace"),
+            ({"Place": ["Home", "Road\t"]},
+             "context attribute 'Place' value 'Road\\t' has outer whitespace"),
+        ],
+        ids=["duration", "timestamp", "call_type", "leading-space", "trailing-tab"],
+    )
+    def test_gen_refuses_a_log_that_ingest_would_misread(
+        self, tmp_path, capsys, attributes, message
+    ):
+        spec, log = tmp_path / "spec.json", tmp_path / "log.csv"
+        spec.write_text(json.dumps({"attributes": attributes, "classes": ["Accept"], "n": 20}))
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not log.exists()
+
 
 # the log's column names, separators and the names that collide
 NAMES = ["timestamp", "call_type", "duration", "Relation", "behavior", "Time",

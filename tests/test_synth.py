@@ -1,15 +1,22 @@
+import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from behavrules.agt import MiningConfig, build_tree, extract_rules
-from behavrules.datamodel import ContextSchema, rule_stats
-from behavrules.ingest import ColumnMapping, load_log
+from behavrules.datamodel import ContextSchema, Dataset, rule_stats
+from behavrules.ingest import (
+    BEHAVIOR_CLASSES,
+    TIME_ATTRIBUTE,
+    ColumnMapping,
+    SegmentationConfig,
+    load_log,
+)
 from behavrules.synth import GenerationError, PlantedRuleSpec, generate, write_log
 
-from oracles import reference_generate
+from oracles import reference_generate, reference_write_log
 
 SCHEMA = ContextSchema.create(
     [
@@ -215,3 +222,67 @@ class TestWriteLog:
         write_log(ds, stream)
         assert stream.getvalue().encode() == path.read_bytes().replace(b"\r\n", b"\n")
         assert "instances" not in ds.__dict__  # written from the columns
+
+
+CALL_COLUMNS = ("timestamp", "call_type", "duration")
+# the CSV specials, whitespace and non-ASCII
+TEXT = st.text('ab ,"\r\n\té€', min_size=1, max_size=5)
+TRIMMED = TEXT.filter(lambda v: v == v.strip())
+
+
+@st.composite
+def call_log_datasets(draw, names, values):
+    """(dataset, segmentation mode): 1-3 context attributes drawn from
+    names, with values drawn from values; maybe a Time attribute of 2-hour
+    bucket or weekday-only labels; and 1-12 rows of 1-4 call classes."""
+    attributes = [(name, draw(st.lists(values, min_size=1, max_size=3, unique=True)))
+                  for name in draw(st.lists(names, min_size=1, max_size=3, unique=True))]
+    mode = draw(st.sampled_from(["weekday-hour-bucket", "weekday-only", None]))
+    if mode is not None:
+        labels = SegmentationConfig(mode).labels()
+        domain = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+        attributes.insert(draw(st.integers(0, len(attributes))), (TIME_ATTRIBUTE, domain))
+    classes = draw(st.lists(st.sampled_from(BEHAVIOR_CLASSES), min_size=1, unique=True))
+    n = draw(st.integers(1, 12))
+    columns = [draw(st.lists(st.sampled_from(d), min_size=n, max_size=n)) for _, d in attributes]
+    behaviors = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    schema = ContextSchema.create(attributes, classes)
+    return Dataset.from_columns(schema, columns, behaviors), mode or "weekday-hour-bucket"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=call_log_datasets(TRIMMED, TRIMMED))
+def test_write_log_writes_the_bytes_of_a_row_wise_writer(tmp_path, drawn):
+    ds, _ = drawn
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_log(ds, got)
+    reference_write_log(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+    got, want = io.StringIO(), io.StringIO()
+    write_log(ds, got)
+    reference_write_log(ds, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=call_log_datasets(TEXT | st.sampled_from(CALL_COLUMNS), TEXT))
+def test_ingest_reads_back_every_log_write_log_accepts(tmp_path, drawn):
+    ds, mode = drawn
+    path = tmp_path / "log.csv"
+    path.unlink(missing_ok=True)
+    context = [(a, d) for a, d in ds.schema.attributes if a != TIME_ATTRIBUTE]
+    try:
+        write_log(ds, str(path))
+    except GenerationError:
+        assert any(a in CALL_COLUMNS or any(v != v.strip() for v in d) for a, d in context)
+        assert not path.exists()
+        return
+    mapping = ColumnMapping("timestamp", "call_type", "duration", tuple(a for a, _ in context))
+    loaded, summary = load_log(str(path), mapping, SegmentationConfig(mode))
+    assert summary.skipped == summary.unsegmented == 0
+    assert loaded.behaviors == ds.behaviors
+    read = dict(zip(loaded.schema.attribute_names, loaded.columns))
+    for attr, values in zip(ds.schema.attribute_names, ds.columns):
+        assert read[attr] == values
