@@ -5,10 +5,10 @@ of its instance subset and an exact-rational confidence. A node's subset
 is a list of ascending distinct-row ids, each standing for as many rows
 as its multiplicity (see Dataset.codes): precedence.split tallies it
 once per remaining attribute, a node's size is the sum of its class
-counts, and only the chosen attribute's rows are partitioned into the
-children's lists (see RowCodes.partition), unless no attribute is left
-to split the children. A lone child holds its parent's rows, so it
-ranks its parent's other splits instead of tallying again.
+counts (by sorted label), and only the chosen attribute's rows are
+partitioned into the children's lists (see RowCodes.partition), unless
+no attribute is left to split the children. A lone child holds its
+parent's rows, so it ranks the other splits instead of tallying again.
 Growth does not depend on the confidence threshold: a node is a leaf
 when it is pure or its contexts are exhausted. A child whose dominant
 class equals its parent's is REDUNDANT when both confidences meet the
@@ -35,7 +35,7 @@ from .datamodel import (
     Rule,
     confidence_test,
 )
-from .precedence import rank_splits, split
+from .precedence import all_rows, rank_splits, split
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ class AgtNode:
             stack += node.children[::-1]
 
 
-def _dominant(counts: dict[str, int]) -> str:
-    # ties break by ascending class label
-    return min(counts, key=lambda c: (-counts[c], c))
-
-
 def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     """Grow the threshold-free tree over ds; every node's redundant is False."""
     if len(ds) == 0:
@@ -96,15 +91,17 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     if not contexts:
         raise ConfigError("schema has no context attributes")
 
+    labels = ds.codes.labels
     next_id = 1
     top: list[AgtNode] = []
 
     # nodes to make; children go on last first, so ids follow preorder
-    stack = [(range(len(ds.codes.counts)), ds.class_counts(), None, contexts, None, top)]
+    stack = [(*all_rows(ds), None, contexts, None, top)]
     while stack:
         rows, counts, branch, remaining, splits, siblings = stack.pop()
-        dominant = _dominant(counts)
-        node = AgtNode(next_id, branch, dominant, counts[dominant], sum(counts.values()))
+        # counts are in labels order, so a tie for the largest goes to the lowest label
+        support = max(counts)
+        node = AgtNode(next_id, branch, labels[counts.index(support)], support, sum(counts))
         next_id += 1
         siblings.append(node)
 
@@ -224,8 +221,11 @@ def rule_intervals(root: AgtNode, min_support: int) -> list[tuple[tuple, tuple]]
 
 
 def tree_to_dot(root: AgtNode) -> str:
-    """Render the tree as a graphviz digraph; REDUNDANT nodes are dashed red."""
-    lines = ["digraph agt {", '  node [shape=box, fontname="Helvetica"];']
+    """Render the tree as a graphviz digraph; REDUNDANT nodes are dashed red.
+
+    Every node's line comes first, then every edge's, each in preorder."""
+    nodes = ["digraph agt {", '  node [shape=box, fontname="Helvetica"];']
+    edges = []
     for node in root.walk():
         branch = "%s=%s" % node.branch if node.branch else "root"
         pct = node.support / node.size * 100.0  # int division rounds like Fraction's float
@@ -233,9 +233,7 @@ def tree_to_dot(root: AgtNode) -> str:
             node.node_id, branch, node.dominant_behavior, pct,
         )
         style = ' style=dashed color=red' if node.redundant else ""
-        lines.append('  n%d [label="%s"%s];' % (node.node_id, label, style))
-    for node in root.walk():
+        nodes.append('  n%d [label="%s"%s];' % (node.node_id, label, style))
         for child in node.children:
-            lines.append("  n%d -> n%d;" % (node.node_id, child.node_id))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges.append("  n%d -> n%d;" % (node.node_id, child.node_id))
+    return "\n".join([*nodes, *edges, "}"]) + "\n"

@@ -39,11 +39,11 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     an iceberg cube, found by recursive partitioning (Beyer and
     Ramakrishnan's BUC): an itemset's distinct rows (see Dataset.codes)
     are tallied by each later attribute in name order (see
-    RowCodes.tally), which gives the coverage and class supports of every
-    one-condition extension at once, and each frequent extension is
-    partitioned off and extended in turn. No extension of an infrequent
-    itemset is frequent, so an infrequent one is neither partitioned nor
-    extended.
+    RowCodes.tally), which gives the class supports of every one-condition
+    extension at once, in the sorted-label order class_supports keeps,
+    and each frequent extension is partitioned off and extended in turn.
+    No extension of an infrequent itemset is frequent, so an infrequent
+    one is neither partitioned nor extended.
     """
     if min_support < 1:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
@@ -62,8 +62,7 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
             name, conditions = attrs[i]
             deeper = i + 1 < len(attrs)
             groups = None  # the partition's groups, whose order is the tally's
-            for j, (v, by_class) in enumerate(codes.tally(name, rows)):
-                supports = tuple([by_class.get(label, 0) for label in codes.labels])
+            for j, (v, supports) in enumerate(codes.tally(name, rows)):
                 if sum(supports) < min_support:
                     continue
                 if len(found) == MAX_ITEMSETS:

@@ -5,11 +5,12 @@ in one of two forms. Dataset.from_columns takes one tuple of values per
 attribute, in schema order, plus a tuple of behavior labels; ingest, the
 generator and the fixtures build datasets this way, with no per-row
 objects. Dataset.from_distinct takes the distinct rows, each once in
-order of first occurrence, plus every dataset row's distinct-row id; a
-loaded dataset file is built this way, so it is its weighted distinct
-rows and never holds a value per cell. Each form's missing views are
-derived and cached on first use: `columns` and `behaviors` from the ids,
-`distinct` (the rows with their counts) from the columns. So are
+order of first occurrence, as columns, plus every dataset row's
+distinct-row id; a loaded dataset file is built this way, so it is its
+weighted distinct rows and never holds a value per cell. Each form's
+missing views are derived and cached on first use: `columns` and
+`behaviors` from the ids, the distinct rows' columns and counts from the
+columns, and `distinct` (the rows with their counts) from those. So are
 `instances`, one Instance per row (its values are a plain dict, which
 callers must not mutate); and `codes`, each distinct row's value index
 and value-by-class code per attribute, which both miners tally weighted
@@ -152,10 +153,11 @@ class RowCodes:
     counts: list[int]  # dataset rows per distinct row
 
     @classmethod
-    def encode(cls, schema: ContextSchema, rows, counts) -> "RowCodes":
-        """Codes of distinct rows (see Dataset.distinct) and their counts."""
+    def encode(cls, schema: ContextSchema, columns, counts) -> "RowCodes":
+        """Codes of distinct rows, given as columns (see Dataset.from_distinct),
+        and their counts."""
         labels = tuple(sorted(schema.behavior_classes))
-        *columns, behaviors = _transpose(rows, len(schema.attributes) + 1)
+        *columns, behaviors = columns
         values, value_class = {}, {}
         for (name, domain), column in zip(schema.attributes, columns):
             index = {val: v for v, val in enumerate(domain)}
@@ -168,21 +170,21 @@ class RowCodes:
             value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
         return cls(labels, values, value_class, list(counts))
 
-    def tally(self, attr: str, rows: Iterable[int]) -> list[tuple[int, dict[str, int]]]:
-        """(value index, dataset rows per class) of each value of attr among rows,
-        distinct-row ids each weighted by its count; values ascending, like
-        partition's groups, and each value's classes in first-row order."""
+    def tally(self, attr: str, rows: Iterable[int]) -> list[tuple[int, tuple[int, ...]]]:
+        """(value index, dataset rows per class in labels order) of each value of
+        attr among rows, distinct-row ids each weighted by its count; values
+        ascending, like partition's groups."""
         value_class, weights = self.value_class[attr], self.counts
         tally: dict[int, int] = {}
         for row in rows:
             code = value_class[row]
             tally[code] = tally.get(code, 0) + weights[row]
-        labels = self.labels
-        by_value: dict[int, dict[str, int]] = {}
+        k = len(self.labels)
+        by_value: dict[int, list[int]] = {}
         for code, count in tally.items():
-            v, b = divmod(code, len(labels))
-            by_value.setdefault(v, {})[labels[b]] = count
-        return sorted(by_value.items())
+            v, b = divmod(code, k)
+            by_value.setdefault(v, [0] * k)[b] = count
+        return [(v, tuple(by_value[v])) for v in sorted(by_value)]
 
     def partition(self, attr: str, rows: Iterable[int]) -> list[list[int]]:
         """rows, ascending distinct-row ids, grouped by their value of attr;
@@ -283,20 +285,20 @@ class Dataset:
         return cls.__new__(cls)._fill(schema, len(behaviors), columns=columns, behaviors=behaviors)
 
     @classmethod
-    def from_distinct(cls, schema: ContextSchema, rows, ids) -> "Dataset":
-        """Validate distinct rows, each its values in schema order and then its
-        behavior label; ids[i] is the index in rows of dataset row i, and
-        every row has an id.
+    def from_distinct(cls, schema: ContextSchema, columns, ids) -> "Dataset":
+        """Validate distinct rows given as columns: one sequence of values per
+        attribute, in schema order, then one of behavior labels, entry d of
+        each for distinct row d; ids[i] is the distinct row of dataset row i,
+        and every distinct row has an id.
 
         Only the distinct rows are checked, so a bad row raises what
         from_columns raises for its first occurrence.
         """
-        rows = tuple(map(tuple, rows))
-        *columns, behaviors = _transpose(rows, len(schema.attributes) + 1)
-        _check_columns(schema, columns, behaviors)
+        *values, behaviors = columns = tuple(map(tuple, columns))
+        _check_columns(schema, values, behaviors)
         tally = Counter(ids)
-        counts = [tally[d] for d in range(len(rows))]
-        return cls.__new__(cls)._fill(schema, len(ids), _ids=ids, distinct=(rows, counts))
+        counts = [tally[d] for d in range(len(behaviors))]
+        return cls.__new__(cls)._fill(schema, len(ids), _ids=ids, _distinct=(columns, counts))
 
     def __len__(self) -> int:
         return self._size
@@ -310,28 +312,35 @@ class Dataset:
     def __hash__(self) -> int:
         return hash((self.schema, self._size))
 
-    def _expand(self, j: int) -> tuple[str, ...]:
-        """Entry j of each dataset row (-1: its behavior), from the distinct-row ids."""
-        rows, _ = self.distinct
-        return tuple(map([row[j] for row in rows].__getitem__, self._ids))
+    def _expand(self, column) -> tuple[str, ...]:
+        """Each dataset row's entry of a distinct-row column, from the distinct-row ids."""
+        return tuple(map(column.__getitem__, self._ids))
 
     @cached_property
     def columns(self) -> tuple[tuple[str, ...], ...]:
         """One tuple of values per schema attribute, in schema order."""
-        return tuple(self._expand(j) for j in range(len(self.schema.attributes)))
+        return tuple(map(self._expand, self._distinct[0][:-1]))
 
     @cached_property
     def behaviors(self) -> tuple[str, ...]:
         """Each row's behavior label."""
-        return self._expand(-1)
+        return self._expand(self._distinct[0][-1])
+
+    @cached_property
+    def _distinct(self) -> tuple[tuple[tuple[str, ...], ...], list[int]]:
+        """(columns, counts) of the distinct rows, in order of first occurrence:
+        one tuple of values per schema attribute, then one of behaviors, and
+        how many dataset rows equal each distinct row."""
+        tally = Counter(zip(*self.columns, self.behaviors))
+        return _transpose(tally, len(self.schema.attributes) + 1), list(tally.values())
 
     @cached_property
     def distinct(self) -> tuple[tuple[tuple[str, ...], ...], list[int]]:
         """(rows, counts): each distinct row once, its values in schema order
         and then its behavior, in order of first occurrence, and how many
         dataset rows equal each."""
-        tally = Counter(zip(*self.columns, self.behaviors))
-        return tuple(tally), list(tally.values())
+        columns, counts = self._distinct
+        return tuple(zip(*columns)), counts
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:
@@ -364,13 +373,14 @@ class Dataset:
     @cached_property
     def codes(self) -> RowCodes:
         """Codes of the distinct rows, built on first use."""
-        return RowCodes.encode(self.schema, *self.distinct)
+        return RowCodes.encode(self.schema, *self._distinct)
 
     def class_counts(self) -> dict[str, int]:
         """Instances per behavior class, in order of each class's first instance."""
         counts: dict[str, int] = {}
-        for row, n in zip(*self.distinct):
-            counts[row[-1]] = counts.get(row[-1], 0) + n
+        columns, weights = self._distinct
+        for label, n in zip(columns[-1], weights):
+            counts[label] = counts.get(label, 0) + n
         return counts
 
     def fingerprint(self) -> str:

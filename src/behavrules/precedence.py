@@ -3,12 +3,12 @@
 The attribute with the highest gain gets the highest splitting precedence.
 Gains are compared in double precision with a 1e-12 tolerance; ties break
 by ascending attribute name so rankings (and therefore trees) are
-reproducible. A node's rows are a list of ascending distinct-row ids
-(see Dataset.codes), and one RowCodes.tally of them, each weighted by
-the number of dataset rows its distinct row stands for, gives the class
-counts of every child of a split, so the tree can rank the rows of any
-node without building a sub-dataset. Apriori counts its itemsets with
-the same tally."""
+reproducible. An entropy is an exactly rounded sum (math.fsum), so a
+gain is one float in any class order. A node's rows are a list of
+ascending distinct-row ids (see Dataset.codes), and one RowCodes.tally
+of them, each weighted by its count, gives the class counts of every
+child of a split, so the tree can rank the rows of any node without
+building a sub-dataset. Apriori counts its itemsets with the same tally."""
 
 from __future__ import annotations
 
@@ -23,11 +23,9 @@ GAIN_TOLERANCE = 1e-12
 
 
 def _entropy(counts: Iterable[int], n: int) -> float:
-    total = 0.0
-    for count in counts:
-        p = count / n
-        total -= p * math.log2(p)
-    return total
+    """-sum p*log2(p), p = count / n, over the non-zero counts; exactly rounded."""
+    # 0.0 - makes a pure node's -0.0 a +0.0, which prints without a sign
+    return 0.0 - math.fsum([c / n * math.log2(c / n) for c in counts if c])
 
 
 def entropy(ds: Dataset) -> float:
@@ -44,36 +42,42 @@ class Split(NamedTuple):
 
     attr: str
     gain: float
-    # (value, class counts) of each non-empty child, in domain order
-    children: list[tuple[str, dict[str, int]]]
+    # (value, class counts in labels order) of each non-empty child, in domain order
+    children: list[tuple[str, tuple[int, ...]]]
 
 
-def split(ds: Dataset, rows: Sequence[int], counts: dict[str, int], attr: str) -> Split:
+def all_rows(ds: Dataset) -> tuple[range, tuple[int, ...]]:
+    """Every distinct-row id of ds and its class counts, as split takes them."""
+    counts = ds.class_counts()
+    return range(len(ds.codes.counts)), tuple(counts.get(c, 0) for c in ds.codes.labels)
+
+
+def split(ds: Dataset, rows: Sequence[int], counts: Sequence[int], attr: str) -> Split:
     """Partition rows, ascending distinct-row ids of ds (see Dataset.codes), by attr.
 
-    counts are the class counts of the dataset rows that rows stand for,
-    in first-row order. One RowCodes.tally gives every child's class
-    counts, in first-row order too. Children are summed in domain order,
-    so the gain is the same float however the rows are counted.
+    counts are the class counts, in labels order, of the dataset rows that
+    rows stand for. One RowCodes.tally gives every child's class counts in
+    the same order. Children are summed in domain order, so the gain is
+    the same float however the rows are counted.
     """
     domain = ds.schema.domain(attr)  # also rejects an unknown attribute
-    n = sum(counts.values())
+    n = sum(counts)
     if n == 0:
         return Split(attr, 0.0, [])
     children = []
     split_entropy = 0.0
     for v, child in ds.codes.tally(attr, rows):
-        size = sum(child.values())
-        split_entropy += (size / n) * _entropy(child.values(), size)
+        size = sum(child)
+        split_entropy += (size / n) * _entropy(child, size)
         children.append((domain[v], child))
-    gain = _entropy(counts.values(), n) - split_entropy
+    gain = _entropy(counts, n) - split_entropy
     # numeric noise can push a zero gain slightly negative
     return Split(attr, max(gain, 0.0), children)
 
 
 def information_gain(ds: Dataset, attr: str) -> float:
     """Expected entropy reduction from partitioning ds by attr's values."""
-    return split(ds, range(len(ds.codes.counts)), ds.class_counts(), attr).gain
+    return split(ds, *all_rows(ds), attr).gain
 
 
 def _compare(a: Split, b: Split) -> int:
@@ -111,6 +115,6 @@ def rank_contexts(ds: Dataset, candidates: Sequence[str]) -> PrecedenceRanking:
     """Rank candidate attributes by gain, descending; ties by name."""
     if len(candidates) != len(set(candidates)):
         raise SchemaViolation("duplicate candidate attributes: %r" % list(candidates))
-    rows, counts = range(len(ds.codes.counts)), ds.class_counts()
+    rows, counts = all_rows(ds)
     splits = rank_splits(split(ds, rows, counts, name) for name in candidates)
     return PrecedenceRanking(tuple((s.attr, s.gain) for s in splits))

@@ -32,25 +32,32 @@ class _Echo:
 def _csv_lines(header, columns, end: str):
     """The header line, then each row's line, lazily. columns holds each column's
     values and a dict from each value to its non-empty field. csv.writer renders
-    each field once, quoting it by its own characters and the line end, as it
-    would within a row; a line joins its rendered cells, the last ending it."""
-    render = csv.writer(_Echo(), lineterminator=end).writerow  # returns the line
-    keep = [-len(end)] * (len(columns) - 1) + [None]  # the last cell ends its line
-    cells = [map({v: render((f,))[:k] for v, f in fields.items()}.__getitem__, values)
-             for (values, fields), k in zip(columns, keep)]
-    return chain((render(header),), map(",".join, zip(*cells)))
+    each field once, quoting it by its own characters as it would within a row
+    ended by CR LF, so a CR or LF in a field is quoted whatever end is; a line
+    joins its rendered cells, the last ending it."""
+    render = csv.writer(_Echo(), lineterminator="\r\n").writerow  # returns the line
+    ends = [""] * (len(columns) - 1) + [end]  # the last cell ends its line
+    cells = [map({v: render((f,))[:-2] + e for v, f in fields.items()}.__getitem__, values)
+             for (values, fields), e in zip(columns, ends)]
+    return chain((render(header)[:-2] + end,), map(",".join, zip(*cells)))
 
 
 def dataset_to_csv(ds: Dataset) -> str:
     """Canonical dataset file: context columns plus a trailing behavior column.
 
     Each distinct domain value and class label (never empty) is quoted once.
+    A name, value or label holding a CR is refused, since a dataset file is
+    read with universal newlines, where a quoted CR reads back as LF.
     """
     if BEHAVIOR_COLUMN in ds.schema.attribute_names:
         raise SchemaViolation(
             "context attribute %r collides with the class column" % BEHAVIOR_COLUMN
         )
     domains = [domain for _, domain in ds.schema.attributes] + [ds.schema.behavior_classes]
+    for text in chain(ds.schema.attribute_names, *domains[:-1], sorted(domains[-1])):
+        if "\r" in text:
+            raise SchemaViolation("%r holds a carriage return, which a dataset file "
+                                  "reads back as a line feed" % text)
     columns = list(zip([*ds.columns, ds.behaviors], [dict(zip(d, d)) for d in domains]))
     return "".join(_csv_lines([*ds.schema.attribute_names, BEHAVIOR_COLUMN], columns, "\n"))
 
@@ -124,16 +131,14 @@ def dataset_from_csv(source: str | TextIO) -> Dataset:
     del memo  # its lines are dead weight while the dataset is built
     if not ids:
         raise SchemaViolation("dataset file has no rows")
-    rows = list(index)
-    if behavior_idx < len(header) - 1:  # move the behavior last
-        rows = [r[:behavior_idx] + r[behavior_idx + 1:] + (r[behavior_idx],) for r in rows]
-    *columns, behaviors = zip(*rows)
+    columns = list(zip(*index))  # the distinct rows' columns, in header order
+    columns.append(columns.pop(behavior_idx))  # the behavior last
     attrs = [c for i, c in enumerate(header) if i != behavior_idx]
     schema = ContextSchema.create(
         [(a, dict.fromkeys(values)) for a, values in zip(attrs, columns)],
-        behaviors,
+        columns[-1],
     )
-    return Dataset.from_distinct(schema, rows, ids)
+    return Dataset.from_distinct(schema, columns, ids)
 
 
 def rules_to_text(rules: list[Rule]) -> str:

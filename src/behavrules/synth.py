@@ -169,7 +169,7 @@ def write_log(ds: Dataset, out) -> None:
 
     out is a file path, written with csv's default CRLF line ends, or an
     open text stream, written with "\n" line ends; serialize renders the
-    lines. Behavior classes must be the four call classes so they survive
+    lines, and quotes a value holding a CR or LF either way. Behavior classes must be the four call classes so they survive
     the round trip through behavior derivation. A "Time" attribute, when
     present, is inverted to timestamps inside its segment; otherwise rows
     get a fixed placeholder timestamp. Context attributes named like a

@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from datetime import datetime
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from behavrules.datamodel import (
@@ -154,12 +154,9 @@ def _class_counts(instances):
 
 
 def _entropy(instances):
+    """Exactly rounded, like precedence._entropy, so class order cannot change it."""
     n = len(instances)
-    total = 0.0
-    for count in _class_counts(instances).values():
-        p = count / n
-        total -= p * math.log2(p)
-    return total
+    return 0.0 - math.fsum([c / n * math.log2(c / n) for c in _class_counts(instances).values()])
 
 
 def _gain(schema, instances, attr):
@@ -474,9 +471,11 @@ def reference_write_log(ds, out):
     header = ["timestamp", "call_type", "duration"] + context_cols
     to_path = isinstance(out, (str, os.PathLike))
     with open(out, "w", encoding="utf-8", newline="") if to_path else nullcontext(out) as fh:
-        writer = csv.writer(fh, lineterminator="\r\n" if to_path else "\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in chain([header], rows):
+            # as csv.writer writes a CR LF-ended row, so a CR in a field is quoted
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            fh.write(line.getvalue() if to_path else line.getvalue()[:-2] + "\n")
 
 
 def reference_segment_timestamp(ts, cfg):

@@ -13,6 +13,7 @@ from behavrules import serialize
 from behavrules.agt import MiningConfig, tree_to_dot
 from behavrules.cli import main
 from behavrules.fixtures import demo_dataset, sample_rule_dataset
+from behavrules.ingest import ColumnMapping, load_log
 
 from oracles import reference_tree
 
@@ -392,6 +393,33 @@ class TestInputErrors:
         assert main(["gen", "--spec", str(spec)]) == 0
         out = capsys.readouterr().out
         assert out.encode() == log.read_bytes().replace(b"\r\n", b"\n")
+
+    def test_a_carriage_return_value_is_quoted_in_a_log_and_refused_in_a_dataset(
+        self, tmp_path, capsys
+    ):
+        # a log quotes a bare CR with either line end, so ingest reads it back; a
+        # dataset file is read with universal newlines, so ingest refuses the value
+        spec, mapping = tmp_path / "spec.json", tmp_path / "map.conf"
+        attributes = {"Relation": ["Boss", "Friend", "x\ry"]}
+        spec.write_text(json.dumps(dict(GEN_SPEC, attributes=attributes, n=3000)))
+        mapping.write_text(MAPPING_TEXT)
+        log, saved, out = tmp_path / "log.csv", tmp_path / "saved.csv", tmp_path / "dataset.csv"
+        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+        assert main(["gen", "--spec", str(spec)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode() == log.read_bytes().replace(b"\r\n", b"\n")
+        saved.write_text(stdout, encoding="utf-8", newline="")  # as saved from stdout
+        for path in (log, saved):
+            ds, summary = load_log(str(path), ColumnMapping.from_file(str(mapping)))
+            assert (summary.loaded, summary.skipped) == (3000, 0)
+            column = ds.columns[ds.schema.attribute_names.index("Relation")]
+            assert set(column) == set(attributes["Relation"])
+            argv = ["ingest", str(path), "--mapping", str(mapping), "--out", str(out)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: 'x\\ry' holds a carriage return, which a dataset file "
+                "reads back as a line feed\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "attributes,message",

@@ -70,7 +70,8 @@ def test_ranking_and_gains_match_reference_exactly():
     for ds in _datasets(37, 120):
         names = list(ds.schema.attribute_names)
         expected = reference_ranking(ds.schema, ds.instances, names)
-        # exact float equality: the sums run in the same order
+        # exact float equality: entropies are exactly rounded sums, children summed
+        # in domain order on both sides
         assert precedence.rank_contexts(ds, names).entries == expected
         for name, gain in expected:
             assert precedence.information_gain(ds, name) == gain
@@ -89,8 +90,13 @@ def test_class_counts_keep_first_occurrence_order():
         assert list(ds.class_counts().items()) == list(direct.items())
 
 
+def _label_counts(labels, behaviors):
+    behaviors = list(behaviors)
+    return tuple(behaviors.count(label) for label in labels)
+
+
 @pytest.mark.parametrize("global_ranking", [False, True])
-def test_every_split_lists_classes_in_first_row_order(monkeypatch, global_ranking):
+def test_every_split_counts_classes_in_label_order(monkeypatch, global_ranking):
     calls = []
     real = precedence.split
 
@@ -115,12 +121,15 @@ def test_every_split_lists_classes_in_first_row_order(monkeypatch, global_rankin
     ]
     assert any(len(rows) < len(ds) for ds, rows, _, _ in calls)  # below the root too
     for ds, rows, counts, result in calls:
-        # the node's instances, scanned in dataset order
-        node = [ds.instances[i] for i in rows]
-        assert list(counts.items()) == list(_first_seen_counts(i.behavior for i in node).items())
+        labels = sorted(ds.schema.behavior_classes)
+        node = [ds.instances[i] for i in rows]  # the node's instances
+        assert tuple(counts) == _label_counts(labels, (i.behavior for i in node))
+        present = {i.values[result.attr] for i in node}
+        domain = ds.schema.domain(result.attr)
+        assert [val for val, _ in result.children] == [v for v in domain if v in present]
         for val, child in result.children:
             scanned = (i.behavior for i in node if i.values[result.attr] == val)
-            assert list(child.items()) == list(_first_seen_counts(scanned).items())
+            assert child == _label_counts(labels, scanned)
 
 
 @pytest.mark.parametrize("min_support", [1, 2, 3])
@@ -293,16 +302,16 @@ def test_tally_counts_like_a_scan_of_the_instances(ds, data):
     chosen = [d for d, kept in enumerate(keep) if kept]  # ascending distinct-row ids
     wanted = {rows[d] for d in chosen}
     names = ds.schema.attribute_names
+    labels = sorted(ds.schema.behavior_classes)
     for attr in names:
         domain = ds.schema.domain(attr)
         expected = {}
-        for inst in ds.instances:  # in row order, so classes come in first-row order
+        for inst in ds.instances:
             if (*(inst.values[name] for name in names), inst.behavior) in wanted:
-                by_class = expected.setdefault(domain.index(inst.values[attr]), {})
-                by_class[inst.behavior] = by_class.get(inst.behavior, 0) + 1
-        got = ds.codes.tally(attr, chosen)
-        assert [(v, list(by_class.items())) for v, by_class in got] == \
-            [(v, list(expected[v].items())) for v in sorted(expected)]
+                by_class = expected.setdefault(domain.index(inst.values[attr]), [0] * len(labels))
+                by_class[labels.index(inst.behavior)] += 1
+        # each present value's class counts in label order, values ascending
+        assert ds.codes.tally(attr, chosen) == [(v, tuple(expected[v])) for v in sorted(expected)]
 
 
 @SETTINGS

@@ -9,6 +9,7 @@ import csv
 import io
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -245,16 +246,16 @@ def test_loading_distinct_lines_matches_the_reference(tmp_path, text):
         assert ds.codes == reference_row_codes(schema, instances)
 
 
-# values csv must quote, or (CR, with "\n" line ends) must not; non-ASCII
-VALUE = st.text(alphabet='ab ,"\r\né€', min_size=1, max_size=4)
+# values csv must quote, and non-ASCII
+VALUE = st.text(alphabet='ab ,"\né€', min_size=1, max_size=4)
 
 
 @st.composite
-def writable_datasets(draw):
+def writable_datasets(draw, values=VALUE):
     """A column-built dataset, zero to 12 rows, maybe with no context attribute."""
     attrs = draw(st.lists(NAME.filter(lambda n: n != "behavior"), max_size=3, unique=True))
-    domains = [draw(st.lists(VALUE, min_size=1, max_size=4, unique=True)) for _ in attrs]
-    classes = draw(st.lists(VALUE, min_size=1, max_size=3, unique=True))
+    domains = [draw(st.lists(values, min_size=1, max_size=4, unique=True)) for _ in attrs]
+    classes = draw(st.lists(values, min_size=1, max_size=3, unique=True))
     n = draw(st.integers(0, 12))
     columns = [[draw(st.sampled_from(domain)) for _ in range(n)] for domain in domains]
     behaviors = [draw(st.sampled_from(classes)) for _ in range(n)]
@@ -267,10 +268,22 @@ def writable_datasets(draw):
 def test_dataset_to_csv_writes_the_bytes_of_a_row_wise_writer(ds):
     text = dataset_to_csv(ds)
     assert text == reference_dataset_to_csv(ds)
-    if len(ds) and "\r" not in text:  # csv.writer leaves a CR unquoted
+    if len(ds):
         loaded = dataset_from_csv(text)  # domains: the values seen, in order
         assert (loaded.columns, loaded.behaviors) == (ds.columns, ds.behaviors)
         assert dataset_to_csv(loaded) == reference_dataset_to_csv(loaded) == text
+
+
+@SETTINGS
+@given(writable_datasets(st.text(alphabet='a,"\r\n', min_size=1, max_size=3)))
+def test_dataset_to_csv_refuses_a_carriage_return(ds):
+    # a dataset file is read with universal newlines, so a quoted CR would read as LF
+    domains = [domain for _, domain in ds.schema.attributes]
+    if not any("\r" in v for v in chain(*domains, ds.schema.behavior_classes)):
+        assert dataset_to_csv(ds) == reference_dataset_to_csv(ds)
+        return
+    with pytest.raises(SchemaViolation, match="holds a carriage return"):
+        dataset_to_csv(ds)
 
 
 STAMPS = st.one_of(

@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from behavrules.datamodel import ContextSchema, Dataset, Instance, SchemaViolation
 from behavrules.fixtures import demo_dataset, demo_schema
 from behavrules.precedence import (
     PrecedenceRanking,
+    _entropy,
     entropy,
     information_gain,
     rank_contexts,
@@ -128,3 +131,15 @@ class TestRanking:
         monkeypatch.setattr(ContextSchema, "fingerprint", no_fingerprint)
         ranking = rank_contexts(demo_dataset(), ["Activity"])
         assert ranking == PrecedenceRanking(ranking.entries)
+
+
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=8).filter(any),
+    data=st.data(),
+)
+def test_entropy_is_one_float_in_any_order_and_with_zeros(counts, data):
+    n = sum(counts)
+    padded = counts + [0] * data.draw(st.integers(0, 4))
+    reordered = data.draw(st.permutations(padded))
+    # bit for bit: hex tells 0.0 from -0.0
+    assert _entropy(reordered, n).hex() == _entropy(counts, n).hex()

@@ -280,9 +280,14 @@ def test_ingest_reads_back_every_log_write_log_accepts(tmp_path, drawn):
         assert not path.exists()
         return
     mapping = ColumnMapping("timestamp", "call_type", "duration", tuple(a for a, _ in context))
-    loaded, summary = load_log(str(path), mapping, SegmentationConfig(mode))
-    assert summary.skipped == summary.unsegmented == 0
-    assert loaded.behaviors == ds.behaviors
-    read = dict(zip(loaded.schema.attribute_names, loaded.columns))
-    for attr, values in zip(ds.schema.attribute_names, ds.columns):
-        assert read[attr] == values
+    stream = io.StringIO()
+    write_log(ds, stream)
+    saved = tmp_path / "saved.csv"  # the stream's "\n"-ended text, as saved from stdout
+    saved.write_text(stream.getvalue(), encoding="utf-8", newline="")
+    for log in (path, saved):
+        loaded, summary = load_log(str(log), mapping, SegmentationConfig(mode))
+        assert summary.skipped == summary.unsegmented == 0
+        assert loaded.behaviors == ds.behaviors
+        read = dict(zip(loaded.schema.attribute_names, loaded.columns))
+        for attr, values in zip(ds.schema.attribute_names, ds.columns):
+            assert read[attr] == values
