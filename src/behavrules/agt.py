@@ -9,16 +9,18 @@ counts (by sorted label), and only the chosen attribute's rows are
 partitioned into the children's lists (see RowCodes.partition), unless
 no attribute is left to split the children. A lone child holds its
 parent's rows, so it ranks the other splits instead of tallying again.
-Growth does not depend on the confidence threshold: a node is a leaf
-when it is pure or its contexts are exhausted. A child whose dominant
-class equals its parent's is REDUNDANT when both confidences meet the
-threshold; redundant nodes emit no rule but their subtrees are still
-explored, so a deviating grandchild can surface. extract_rules rewrites
-every node's mark for its config as it collects the rules, so one grown
-tree can be extracted at any threshold, and rule_intervals gives the
-threshold interval on which each node's rule is emitted, which the sweep
-counts. Thresholds are tested with datamodel.confidence_test. Growth
-and walks keep explicit stacks.
+Growth reads no confidence threshold: a node is a leaf when it is pure
+or its contexts are exhausted, and build_tree leaves every node
+unmarked. A child whose dominant class equals its parent's is REDUNDANT
+when both confidences meet the threshold; redundant nodes emit no rule
+but their subtrees are still explored, so a deviating grandchild can
+surface. extract_rules is the one walk that marks: it rewrites every
+node's mark for its config as it collects the rules, so one grown tree
+can be extracted at any threshold. rule_intervals gives the threshold
+interval on which each node's rule is emitted, which the sweep counts,
+and tree_to_dot draws the marks of the last extraction. Each of the four
+is one walk of the tree, with an explicit stack. Thresholds are tested
+with datamodel.confidence_test.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class AgtNode:
     dominant_behavior: str
     support: int  # instances at this node with the dominant behavior
     size: int  # all instances at this node
-    redundant: bool = False
+    redundant: bool = False  # set by extract_rules for its config; build_tree leaves it False
     split_attribute: Optional[str] = None
     children: list["AgtNode"] = field(default_factory=list)
 
@@ -83,14 +85,19 @@ class AgtNode:
             stack += node.children[::-1]
 
 
-def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
-    """Grow the threshold-free tree over ds; every node's redundant is False."""
+def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
+    """Grow the tree over ds, ranked as cfg.global_ranking says; node ids follow preorder.
+
+    Growth reads no threshold, so every node comes back unmarked
+    (redundant False); extract_rules marks the tree for a config.
+    """
     if len(ds) == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     contexts = list(ds.schema.attribute_names)
     if not contexts:
         raise ConfigError("schema has no context attributes")
 
+    global_ranking = cfg.global_ranking
     labels = ds.codes.labels
     next_id = 1
     top: list[AgtNode] = []
@@ -134,19 +141,19 @@ def _grow(ds: Dataset, global_ranking: bool) -> AgtNode:
     return top[0]
 
 
-def _mark_and_extract(
-    root: AgtNode, cfg: MiningConfig,
-) -> list[tuple[int, tuple[Condition, ...], AgtNode]]:
-    """Rewrite every node's REDUNDANT flag for cfg and collect its rule nodes, in one walk.
+def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
+    """Mark root's tree for cfg and return its rules, ordered by node id, in one walk.
 
-    A node is REDUNDANT when its confidence and its anchor's both meet the
-    threshold and both have the same dominant class. The anchor is the
-    parent; in strict mode it is the nearest ancestor meeting the
-    threshold, even when the parent misses it. The root is never REDUNDANT.
-    A non-root node generates a rule when its confidence meets the
-    threshold, its support meets min_support, it is not REDUNDANT, and its
-    class passes the optional filter. Descendants of redundant nodes are
-    still visited. Returns (node id, path conditions, node) per rule node.
+    Every node's REDUNDANT flag is rewritten for cfg. A node is REDUNDANT
+    when its confidence and its anchor's both meet the threshold and both
+    have the same dominant class. The anchor is the parent; in strict mode
+    it is the nearest ancestor meeting the threshold, even when the parent
+    misses it. The root is never REDUNDANT. A non-root node generates a
+    rule when its confidence meets the threshold, its support meets
+    min_support, it is not REDUNDANT, and its class passes the optional
+    filter. Descendants of redundant nodes are still visited. The result
+    depends only on the tree's shape and cfg, whatever threshold the tree
+    was marked for before.
     """
     meets_threshold = confidence_test(cfg.confidence_threshold)
     strict = cfg.strict_redundancy
@@ -176,25 +183,7 @@ def _mark_and_extract(
         if node.children:  # most nodes are leaves
             for child in reversed(node.children):
                 stack.append((child, anchor, path))
-    return found
-
-
-def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
-    """Grow the tree over ds and mark it for cfg; node ids follow depth-first creation order."""
-    root = _grow(ds, cfg.global_ranking)
-    # not through extract_rules, so a tracer that wraps it (perfbench/spans.py)
-    # counts only the extractions callers ask for
-    _mark_and_extract(root, cfg)
-    return root
-
-
-def extract_rules(root: AgtNode, cfg: MiningConfig) -> list[Rule]:
-    """Mark root's tree for cfg and return its rules, ordered by node id.
-
-    The result depends only on the tree's shape and cfg, whatever
-    threshold the tree was marked for before.
-    """
-    found = _mark_and_extract(root, cfg)
+    # a hand-built tree need not number its nodes in preorder
     found.sort(key=lambda entry: entry[0])
     return [
         Rule(frozenset(path), node.dominant_behavior, node.support, node.size)
@@ -208,7 +197,7 @@ def rule_intervals(root: AgtNode, min_support: int) -> list[tuple[tuple, tuple]]
     The node's rule is emitted at t exactly when lo < t <= hi. Each end is a
     (support, size) pair: hi is the node's own, lo its parent's when the two
     share a dominant class, else (0, 1). This is the REDUNDANT rule that
-    _mark_and_extract applies with strict_redundancy=False.
+    extract_rules applies with strict_redundancy=False. It reads no marks.
     """
     found = []
     for node in root.walk():
@@ -223,7 +212,9 @@ def rule_intervals(root: AgtNode, min_support: int) -> list[tuple[tuple, tuple]]
 def tree_to_dot(root: AgtNode) -> str:
     """Render the tree as a graphviz digraph; REDUNDANT nodes are dashed red.
 
-    Every node's line comes first, then every edge's, each in preorder."""
+    The marks are those of the last extract_rules on the tree, so a tree
+    never extracted has none. Every node's line comes first, then every
+    edge's, each in preorder."""
     nodes = ["digraph agt {", '  node [shape=box, fontname="Helvetica"];']
     edges = []
     for node in root.walk():

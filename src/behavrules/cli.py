@@ -73,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank context attributes by information gain")
     p.add_argument("dataset", help="dataset CSV file")
-    p.add_argument("--attrs", nargs="*", default=None, help="candidate attributes")
+    p.add_argument("--attrs", nargs="+", default=None, help="candidate attributes")
 
     p = sub.add_parser("mine-agt", help="mine non-redundant rules with the tree miner")
     p.add_argument("dataset")
     p.add_argument("--min-conf", required=True, help="confidence threshold (80, 80%% or 0.8)")
     p.add_argument("--min-support", type=int, default=1)
-    p.add_argument("--classes", nargs="*", default=None, help="only emit these classes")
+    p.add_argument("--classes", nargs="+", default=None, help="only emit these classes")
     p.add_argument("--global-ranking", action="store_true")
     p.add_argument("--strict-redundancy", action="store_true")
     p.add_argument("--dot", default=None, help="also write the tree as DOT")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="compare both miners across thresholds")
     p.add_argument("dataset")
-    p.add_argument("--thresholds", nargs="*", default=None)
+    p.add_argument("--thresholds", nargs="+", default=None)
     p.add_argument("--min-support", type=int, default=1)
     p.add_argument("--json", default=None, help="also write a JSON twin of the report")
 
@@ -161,6 +161,8 @@ def _read_spec(path: str):
             raise ConfigError("%s antecedent is not a JSON object" % where)
         weight = _spec_key(r, "weight", where)
         try:
+            if isinstance(weight, bool):  # float() would read true as 1.0
+                raise TypeError
             weight = float(weight)
         except (TypeError, ValueError):
             raise ConfigError("%s weight must be a number, got %r" % (where, weight)) from None

@@ -43,6 +43,8 @@ def _rule_set(rules):
 class TestBuildTree:
     def test_demo_tree_structure(self):
         root = build_tree(demo_dataset(), T75)
+        assert not any(n.redundant for n in root.walk())  # growth marks nothing
+        extract_rules(root, T75)
         assert root.node_id == 1
         assert root.branch is None
         assert not root.redundant
@@ -73,6 +75,7 @@ class TestBuildTree:
 
     def test_redundancy_depends_on_threshold(self):
         root = build_tree(demo_dataset(), T100)
+        extract_rules(root, T100)
         friend = root.children[1]
         meeting = friend.children[0]
         # at t=100% the parent (80%) fails the threshold, so the pure
@@ -119,6 +122,8 @@ class TestBuildTree:
             ds = random_dataset(rng)
             a = build_tree(ds, T75)
             b = build_tree(ds, T75)
+            extract_rules(a, T75)
+            extract_rules(b, T75)
             assert [(n.node_id, n.branch, n.redundant) for n in a.walk()] == [
                 (n.node_id, n.branch, n.redundant) for n in b.walk()
             ]
@@ -262,6 +267,8 @@ class TestProperties:
 class TestDotExport:
     def test_dot_contains_all_nodes_and_marks_redundant(self):
         root = build_tree(demo_dataset(), T75)
+        assert "dashed" not in tree_to_dot(root)  # drawn before any extraction
+        extract_rules(root, T75)
         dot = tree_to_dot(root)
         assert dot.startswith("digraph agt {")
         for node in root.walk():

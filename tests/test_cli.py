@@ -162,6 +162,25 @@ class TestMining:
             (("Activity=Lunch", "Relation=Friend"), "Accept", 1, 1),
         }
 
+    def test_mine_agt_marks_its_tree_once_and_sweep_never(
+        self, demo_csv, tmp_path, monkeypatch, capsys
+    ):
+        from behavrules import agt
+
+        calls = []
+
+        def counted(threshold, test=agt.confidence_test):
+            calls.append(threshold)
+            return test(threshold)
+
+        monkeypatch.setattr(agt, "confidence_test", counted)
+        dot = tmp_path / "tree.dot"
+        assert main(["mine-agt", demo_csv, "--min-conf", "75", "--dot", str(dot)]) == 0
+        assert calls == [Fraction(3, 4)]  # extract_rules' walk; growth marks nothing
+        calls.clear()
+        assert main(["sweep", demo_csv]) == 0
+        assert calls == []  # the sweep counts intervals of an unmarked tree
+
     def test_rank_prints_table(self, demo_csv, capsys):
         assert main(["rank", demo_csv]) == 0
         out = capsys.readouterr().out
@@ -192,6 +211,22 @@ class TestErrors:
 
     def test_bad_threshold_exits_1(self, demo_csv, capsys):
         assert main(["mine-agt", demo_csv, "--min-conf", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mine-agt", "--min-conf", "80", "--classes"], ["rank", "--attrs"],
+         ["sweep", "--thresholds"]],
+        ids=["classes", "attrs", "thresholds"],
+    )
+    def test_a_list_flag_without_values_exits_1_with_usage(self, demo_csv, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], demo_csv, *argv[1:]])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: behavrules %s " % argv[0])
+        assert captured.err.endswith(
+            "error: argument %s: expected at least one argument\n" % argv[-1])
 
     def test_unknown_class_filter_exits_1(self, demo_csv, capsys):
         assert main(["mine-agt", demo_csv, "--min-conf", "75", "--classes", "Accept", "Acept"]) == 1
@@ -306,6 +341,8 @@ class TestInputErrors:
                  "weight must be in (0, 1], got %s" % got)
                 for w, got in (("nan", "nan"), ("inf", "inf"), (1e308, "1e+308"))
             ],
+            (dict(GEN_SPEC, rules=[dict(GEN_SPEC["rules"][0], weight=True)]),
+             "spec rule 1 weight must be a number, got True"),
             (dict(GEN_SPEC, attributes=dict(GEN_SPEC["attributes"], Time=[1, 2])),
              "spec attribute 'Time' value 1 is not a string"),
             (dict(GEN_SPEC, classes=[["Accept"]]), "spec class ['Accept'] is not a string"),
@@ -313,7 +350,8 @@ class TestInputErrors:
              "spec attribute 'Relation' value True is not a string"),
         ],
         ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key",
-             "weight-nan", "weight-inf", "weight-1e308", "value-number", "class-list",
+             "weight-nan", "weight-inf", "weight-1e308", "weight-true", "value-number",
+             "class-list",
              "value-bool"],
     )
     def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):

@@ -57,13 +57,20 @@ def _node_fields(root):
     ]
 
 
+def _extracted_tree(ds, cfg):
+    """build_tree's tree after the one extract_rules for cfg that marks it."""
+    root = agt.build_tree(ds, cfg)
+    agt.extract_rules(root, cfg)
+    return root
+
+
 @pytest.mark.parametrize("global_ranking", [False, True])
 @pytest.mark.parametrize("strict", [False, True])
 def test_tree_matches_reference_node_by_node(global_ranking, strict):
     for ds in _datasets(31, 80):
         for t in THRESHOLDS:
             cfg = agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
-            assert _node_fields(agt.build_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
+            assert _node_fields(_extracted_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
 
 
 def test_ranking_and_gains_match_reference_exactly():
@@ -209,6 +216,27 @@ def test_remarked_tree_matches_reference_at_last_threshold(
     assert rule_keys(rules) <= brute_force_cars(ds, cfg.confidence_threshold, min_support)
 
 
+@SETTINGS
+@given(
+    ds=datasets(),
+    t=FRACTIONS.filter(bool),
+    min_support=st.integers(1, 4),
+    class_filter=st.none() | st.frozensets(st.sampled_from(["c0", "c1", "c2"])),
+    global_ranking=st.booleans(),
+    strict=st.booleans(),
+)
+def test_growth_marks_nothing_and_one_extraction_marks_like_the_reference(
+    ds, t, min_support, class_filter, global_ranking, strict
+):
+    cfg = agt.MiningConfig(
+        t, min_support, class_filter, global_ranking=global_ranking, strict_redundancy=strict,
+    )
+    root = agt.build_tree(ds, cfg)
+    assert not any(n.redundant for n in root.walk())
+    agt.extract_rules(root, cfg)
+    assert _node_fields(root) == _node_fields(reference_tree(ds, cfg))
+
+
 @st.composite
 def duplicate_heavy_datasets(draw):
     """A few distinct rows, each repeated, in any order.
@@ -258,7 +286,7 @@ def test_duplicate_heavy_trees_and_rankings_match_reference(ds, t):
     for global_ranking in (False, True):
         for strict in (False, True):
             cfg = agt.MiningConfig(t, global_ranking=global_ranking, strict_redundancy=strict)
-            assert _node_fields(agt.build_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
+            assert _node_fields(_extracted_tree(ds, cfg)) == _node_fields(reference_tree(ds, cfg))
     names = list(ds.schema.attribute_names)
     expected = reference_ranking(ds.schema, ds.instances, names)
     assert precedence.rank_contexts(ds, names).entries == expected  # exact floats
