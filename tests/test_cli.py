@@ -351,8 +351,7 @@ class TestInputErrors:
         ],
         ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key",
              "weight-nan", "weight-inf", "weight-1e308", "weight-true", "value-number",
-             "class-list",
-             "value-bool"],
+             "class-list", "value-bool"],
     )
     def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
