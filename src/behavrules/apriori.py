@@ -4,8 +4,8 @@ Itemsets range over context conditions only; behavior classes appear only
 as rule consequents, which keeps the rule space directly comparable with
 the tree miner's output. The rule set is complete: every rule over every
 frequent condition set. One depth-first partition of the distinct rows
-finds the frequent itemsets and, from the same tallies (RowCodes.tally),
-each one's support in every class, so rule generation only compares counts.
+lists the frequent itemsets in output order with, from the same tallies
+(RowCodes.tally), each one's class supports: rules only compare counts.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     Ramakrishnan's BUC): an itemset's distinct rows (see Dataset.codes)
     are tallied by each later attribute in name order (see
     RowCodes.tally), which gives the class supports of every one-condition
-    extension at once, in the sorted-label order class_supports keeps,
-    and each frequent extension is partitioned off and extended in turn.
-    No extension of an infrequent itemset is frequent, so an infrequent
-    one is neither partitioned nor extended.
+    extension at once, in the sorted-label order class_supports keeps.
+    Only a frequent itemset has frequent extensions, so only those are
+    partitioned off and extended in turn, in sorted-condition order: a
+    preorder walk of the itemset trie, which meets each size's itemsets
+    in output order, so nothing is sorted at the end.
     """
     if min_support < 1:
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
@@ -53,28 +54,32 @@ def mine_frequent(ds: Dataset, min_support: int = 1) -> list[FrequentItemset]:
     # condition, shared by every itemset that holds it
     attrs = [(name, [(name, val) for val in domain])
              for name, domain in sorted(ds.schema.attributes)]
-    found: list[tuple[tuple[Condition, ...], int, tuple[int, ...]]] = []
+    levels: list[list[FrequentItemset]] = [[] for _ in attrs]  # by size, each in output order
+    found = 0
     # (itemset, its distinct rows, index in attrs of the first attribute to add)
     stack = [((), range(len(codes.counts)), 0)]
     while stack:
         itemset, rows, start = stack.pop()
+        children = []  # in sorted-condition order
         for i in range(start, len(attrs)):
             name, conditions = attrs[i]
-            deeper = i + 1 < len(attrs)
-            groups = None  # the partition's groups, whose order is the tally's
-            for j, (v, supports) in enumerate(codes.tally(name, rows)):
-                if sum(supports) < min_support:
-                    continue
-                if len(found) == MAX_ITEMSETS:
-                    raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
-                                      % MAX_ITEMSETS)
-                extended = itemset + (conditions[v],)
-                found.append((extended, sum(supports), supports))
-                if deeper:
-                    groups = groups or codes.partition(name, rows)
-                    stack.append((extended, groups[j], i + 1))
-    found.sort(key=lambda f: (len(f[0]), f[0]))
-    return [FrequentItemset(frozenset(items), cov, supports) for items, cov, supports in found]
+            tallied = codes.tally(name, rows)
+            # each frequent condition's index in tallied and in the partition's groups
+            frequent = {conditions[v]: j for j, (v, supports) in enumerate(tallied)
+                        if sum(supports) >= min_support}
+            found += len(frequent)
+            if found > MAX_ITEMSETS:
+                raise ConfigError("more than %d frequent itemsets (apriori.MAX_ITEMSETS)"
+                                  % MAX_ITEMSETS)
+            groups = codes.partition(name, rows) if frequent and i + 1 < len(attrs) else None
+            level = levels[len(itemset)]
+            for condition in sorted(frequent):  # by value, not in first-observation order
+                extended, supports = itemset + (condition,), tallied[frequent[condition]][1]
+                level.append(FrequentItemset(frozenset(extended), sum(supports), supports))
+                if groups:
+                    children.append((extended, groups[frequent[condition]], i + 1))
+        stack.extend(reversed(children))  # so they pop in ascending order
+    return [fi for level in levels for fi in level]
 
 
 def generate_cars(
@@ -108,24 +113,25 @@ def shadows(rules: list[Rule]) -> list[Optional[tuple[int, int]]]:
     one included) and whose consequent is the same, or None when there is
     none. Among rules that meet a threshold t, a rule is redundant exactly
     when its shadow's confidence meets t as well. Each rule looks up its
-    proper antecedent subsets instead of scanning every other rule. Ties
+    proper antecedent subsets among its consequent's rules. Ties
     in confidence go to the first subset in (size, sorted conditions)
     order, and among equal antecedents to the first rule given.
     """
-    # antecedents as sorted tuples, whose combinations are sorted tuples too
-    best: dict[tuple[str, tuple[Condition, ...]], tuple[int, int]] = {}
+    # by consequent, then antecedent as a sorted tuple, like its combinations
+    best: dict[str, dict[tuple[Condition, ...], tuple[int, int]]] = {}
     for rule in rules:
-        key = (rule.consequent, rule.sort_antecedent)
-        held = best.get(key)
+        of_class = best.setdefault(rule.consequent, {})
+        held = of_class.get(rule.sort_antecedent)
         if held is None or rule.support * held[1] > held[0] * rule.coverage:
-            best[key] = (rule.support, rule.coverage)
+            of_class[rule.sort_antecedent] = (rule.support, rule.coverage)
     out: list[Optional[tuple[int, int]]] = []
     for rule in rules:
         items = rule.sort_antecedent
+        lookup = best[rule.consequent].get
         shadow = None
         for k in range(len(items)):
             for sub in combinations(items, k):
-                found = best.get((rule.consequent, sub))
+                found = lookup(sub)
                 if found is not None and (
                     shadow is None or found[0] * shadow[1] > shadow[0] * found[1]
                 ):

@@ -26,6 +26,7 @@ so comparisons like ">= 80%" never suffer float rounding.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -292,12 +293,17 @@ class Dataset:
         and every distinct row has an id.
 
         Only the distinct rows are checked, so a bad row raises what
-        from_columns raises for its first occurrence.
+        from_columns raises for its first occurrence, and an id outside
+        range(len(behaviors)) raises SchemaViolation.
         """
         *values, behaviors = columns = tuple(map(tuple, columns))
         _check_columns(schema, values, behaviors)
-        tally = Counter(ids)
-        counts = [tally[d] for d in range(len(behaviors))]
+        counts = [0] * len(behaviors)
+        try:
+            for d in array("I", ids):  # a negative id raises OverflowError
+                counts[d] += 1
+        except (OverflowError, IndexError):
+            raise SchemaViolation("distinct-row id not in range(%d)" % len(behaviors)) from None
         return cls.__new__(cls)._fill(schema, len(ids), _ids=ids, _distinct=(columns, counts))
 
     def __len__(self) -> int:

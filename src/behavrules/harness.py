@@ -78,6 +78,8 @@ def sweep(
     min_support: int = 1,
 ) -> SweepReport:
     """Count both miners' rules at each threshold; a failing threshold records its reason."""
+    if min_support < 1:  # it would fail every threshold: an input error, not a row's
+        raise ConfigError("min_support must be >= 1, got %d" % min_support)
     thresholds = list(thresholds)
     if len(set(thresholds)) != len(thresholds):
         raise ConfigError("duplicate thresholds in sweep")

@@ -120,8 +120,11 @@ def reference_sweep(ds, thresholds, min_support=1):
     of a rule list, not a count of intervals.
     """
     from behavrules import agt, apriori
+    from behavrules.datamodel import ConfigError
     from behavrules.harness import SweepReport, SweepRow
 
+    if min_support < 1:  # fails every threshold, so it fails the sweep
+        raise ConfigError("min_support must be >= 1, got %d" % min_support)
     all_rules = None
     baseline_error = None
     if thresholds:

@@ -228,6 +228,16 @@ class TestErrors:
         assert captured.err.endswith(
             "error: argument %s: expected at least one argument\n" % argv[-1])
 
+    @pytest.mark.parametrize("command", ["mine-agt", "mine-apriori", "sweep"])
+    def test_min_support_below_1_exits_1_with_one_line(self, demo_csv, tmp_path, capsys, command):
+        report = tmp_path / "report.json"
+        extra = ["--json", str(report)] if command == "sweep" else ["--min-conf", "80"]
+        assert main([command, demo_csv, "--min-support", "0", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: min_support must be >= 1, got 0\n"
+        assert not report.exists()
+
     def test_unknown_class_filter_exits_1(self, demo_csv, capsys):
         assert main(["mine-agt", demo_csv, "--min-conf", "75", "--classes", "Accept", "Acept"]) == 1
         captured = capsys.readouterr()

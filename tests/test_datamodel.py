@@ -85,6 +85,13 @@ class TestColumns:
         assert rotated != a.behaviors
         assert swapped != a
 
+    @pytest.mark.parametrize(
+        "ids", [[0, 2], [0, 1, -1], [2 ** 40]], ids=["past-the-end", "negative", "huge"])
+    def test_a_distinct_row_id_out_of_range_is_refused(self, ids):
+        distinct = [["Lunch", "Meeting"], ["Boss", "Friend"], ["Accept", "Reject"]]
+        with pytest.raises(SchemaViolation, match=r"^distinct-row id not in range\(2\)$"):
+            Dataset.from_distinct(demo_schema(), distinct, ids)
+
     def test_attribute_names_are_computed_once(self):
         schema = demo_schema()
         assert schema.attribute_names == ("Activity", "Relation")

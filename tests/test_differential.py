@@ -404,6 +404,12 @@ def test_sweep_matches_one_run_per_threshold(case, decreasing, min_support):
     ds, thresholds = case
     if decreasing:
         thresholds.reverse()
+    if min_support < 1:  # an input error of the whole sweep, raised alike
+        with pytest.raises(ConfigError) as expected:
+            reference_sweep(ds, thresholds, min_support)
+        with pytest.raises(ConfigError, match="^%s$" % expected.value):
+            harness.sweep(ds, thresholds, min_support)
+        return
     with mock.patch.object(agt, "build_tree", wraps=agt.build_tree) as build, \
             mock.patch.object(agt, "extract_rules", wraps=agt.extract_rules) as extract:
         report = harness.sweep(ds, thresholds, min_support)
