@@ -93,6 +93,94 @@ class TestMineFrequent:
                 mine_frequent(ds)
 
 
+class TestGenerateCars:
+    def test_demo_at_75_has_seven_rules(self):
+        rules = _cars(demo_dataset(), Fraction(3, 4))
+        expected = {
+            (frozenset({("Relation", "Boss")}), "Accept", 3, 3),
+            (frozenset({("Relation", "Friend")}), "Reject", 4, 5),
+            (frozenset({("Activity", "Lunch")}), "Accept", 2, 2),
+            (frozenset({("Activity", "Meeting"), ("Relation", "Boss")}), "Accept", 2, 2),
+            (frozenset({("Activity", "Meeting"), ("Relation", "Friend")}), "Reject", 4, 4),
+            (frozenset({("Activity", "Lunch"), ("Relation", "Boss")}), "Accept", 1, 1),
+            (frozenset({("Activity", "Lunch"), ("Relation", "Friend")}), "Accept", 1, 1),
+        }
+        assert rule_keys(rules) == expected
+        # Meeting => Reject sits at 4/6 and must be excluded
+        assert (frozenset({("Activity", "Meeting")}), "Reject", 4, 6) not in rule_keys(rules)
+
+    def test_demo_at_100_drops_friend_reject(self):
+        at75 = rule_keys(_cars(demo_dataset(), Fraction(3, 4)))
+        at100 = rule_keys(_cars(demo_dataset(), Fraction(1)))
+        assert at100 == at75 - {(frozenset({("Relation", "Friend")}), "Reject", 4, 5)}
+
+    def test_vacuous_threshold_gives_empty_list(self):
+        from behavrules.datamodel import ContextSchema, Instance
+
+        schema = ContextSchema.create([("A", ["x"])], ["c1", "c2"])
+        ds = Dataset.create(
+            schema, [Instance({"A": "x"}, "c1"), Instance({"A": "x"}, "c2")]
+        )
+        # every condition set sits at 50% confidence, so nothing reaches 100%
+        assert _cars(ds, Fraction(1)) == []
+        assert _cars(Dataset.create(demo_schema(), []), Fraction(1)) == []
+
+    def test_monotone_in_threshold(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            ds = random_dataset(rng)
+            lower = rule_keys(_cars(ds, Fraction(3, 5)))
+            higher = rule_keys(_cars(ds, Fraction(9, 10)))
+            assert higher <= lower
+
+    def test_matches_brute_force_enumeration(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            ds = random_dataset(rng)
+            for t in (Fraction(1, 2), Fraction(4, 5)):
+                assert rule_keys(_cars(ds, t)) == brute_force_cars(ds, t)
+
+
+class TestFilterRedundant:
+    def test_sample_rules_keep_minimal_pair(self):
+        kept = filter_redundant(sample_rule_set())
+        assert [(r.sort_antecedent, r.consequent) for r in kept] == [
+            ((("Activity", "Meeting"),), "Reject"),
+            ((("Activity", "Meeting"), ("Relation", "Boss")), "Accept"),
+        ]
+
+    def test_single_rule_passes_through(self):
+        rule = sample_rule_set()[0]
+        assert filter_redundant([rule]) == [rule]
+
+    def test_same_antecedent_different_consequents_both_kept(self):
+        a = Rule(frozenset({("A", "x")}), "c1", 4, 5)
+        b = Rule(frozenset({("A", "x")}), "c2", 1, 5)
+        assert filter_redundant([a, b]) == [a, b]
+
+    def test_idempotent_and_consistent(self):
+        rng = random.Random(81)
+        for _ in range(30):
+            ds = random_dataset(rng)
+            rules = _cars(ds, Fraction(3, 5))
+            once = filter_redundant(rules)
+            assert filter_redundant(once) == once
+            for a in once:
+                for b in once:
+                    assert not (
+                        a is not b
+                        and a.consequent == b.consequent
+                        and a.antecedent < b.antecedent
+                    )
+
+    def test_end_to_end_sample_dataset(self):
+        rules = filter_redundant(_cars(sample_rule_dataset(), Fraction(4, 5)))
+        assert {(r.sort_antecedent, r.consequent) for r in rules} == {
+            ((("Activity", "Meeting"),), "Reject"),
+            ((("Activity", "Meeting"), ("Relation", "Boss")), "Accept"),
+        }
+
+
 def _reverse_order_dataset(no_contexts=False):
     """Every combination of three three-valued contexts, listed so that each
     domain is first observed in reverse string order, in a schema that is
