@@ -294,7 +294,8 @@ class Dataset:
 
         Only the distinct rows are checked, so a bad row raises what
         from_columns raises for its first occurrence, and an id outside
-        range(len(behaviors)) raises SchemaViolation.
+        range(len(behaviors)), or a distinct row that no id names, raises
+        SchemaViolation.
         """
         *values, behaviors = columns = tuple(map(tuple, columns))
         _check_columns(schema, values, behaviors)
@@ -304,6 +305,8 @@ class Dataset:
                 counts[d] += 1
         except (OverflowError, IndexError):
             raise SchemaViolation("distinct-row id not in range(%d)" % len(behaviors)) from None
+        if 0 in counts:
+            raise SchemaViolation("distinct row %d has no id" % counts.index(0))
         return cls.__new__(cls)._fill(schema, len(ids), _ids=ids, _distinct=(columns, counts))
 
     def __len__(self) -> int:

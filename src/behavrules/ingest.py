@@ -4,6 +4,12 @@ Behavior classes are derived from call type and duration (an incoming
 call with duration > 0 was accepted, with duration 0 rejected), and raw
 timestamps are replaced by nominal time-segment labels such as
 "Friday[08:00-10:00]".
+
+load_log decodes each distinct cell once: each distinct (call-type cell,
+duration cell) pair is mapped to its behavior once, and each context
+column maps each distinct raw cell to its value once. Timestamps are
+parsed on every row: a real log at one-second resolution holds few
+repeated timestamps, so a memo of them would only grow.
 """
 
 from __future__ import annotations
@@ -247,12 +253,23 @@ def load_log(
     the first SKIP_REASONS_KEPT of them. Kept rows go straight into one
     list per attribute; a row's time label is seg.table's entry for its
     minute of the week, whatever the segmentation mode.
+
+    A row's behavior comes from a memo keyed by its raw (call type,
+    duration) cells, and each context value from its column's memo keyed
+    by the raw cell. A pair that fails is never stored, so every row that
+    holds it is refused with its own line. A context domain is its memo's
+    values, which keep first-observation order; the class set is the
+    behavior memo's values. Timestamps are parsed per row by
+    parse_timestamp and not memoised, since distinct instants are the
+    rule in a real log.
     """
     summary = IngestSummary()
     table = (seg or SegmentationConfig()).table
     times: list[str] = []
     contexts: list[list[str]] = [[] for _ in mapping.context_cols]
     behaviors: list[str] = []
+    behavior_of: dict[tuple[str, str], str] = {}  # (call-type cell, duration cell) -> behavior
+    value_of: list[dict[str, str]] = [{} for _ in mapping.context_cols]  # raw cell -> value
     with open(path, encoding="utf-8-sig", newline="") as fh:  # drops a byte-order mark
         reader = csv.reader(fh, delimiter=mapping.delimiter)
         try:
@@ -266,7 +283,7 @@ def load_log(
             ts_i = index[mapping.timestamp_col]
             type_i = index[mapping.type_col]
             duration_i = index[mapping.duration_col]
-            cells = list(zip(contexts, [index[col] for col in mapping.context_cols]))
+            cells = list(zip(contexts, value_of, [index[col] for col in mapping.context_cols]))
             width = len(header)
             for row in reader:
                 if not row:  # blank line
@@ -276,8 +293,11 @@ def load_log(
                     if len(row) < width:
                         raise IngestError("row has fewer cells than the header")
                     ts = parse_timestamp(row[ts_i])
-                    duration = int(row[duration_i].strip())
-                    behavior = derive_behavior(row[type_i], duration)
+                    call = row[type_i], row[duration_i]
+                    behavior = behavior_of.get(call)
+                    if behavior is None:
+                        behavior = derive_behavior(call[0], int(call[1].strip()))
+                        behavior_of[call] = behavior
                 except (ValueError, IngestError) as exc:
                     reason = "line %d: %s" % (reader.line_num, exc)
                     if strict:
@@ -286,13 +306,14 @@ def load_log(
                     if len(summary.skip_reasons) < SKIP_REASONS_KEPT:
                         summary.skip_reasons.append(reason)
                     continue
-                label = table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute]
-                if label == UNSEGMENTED:
-                    summary.unsegmented += 1
-                times.append(label)
+                times.append(table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute])
                 behaviors.append(behavior)
-                for column, i in cells:
-                    column.append(row[i].strip() or UNKNOWN_VALUE)
+                for column, memo, i in cells:
+                    cell = row[i]
+                    value = memo.get(cell)
+                    if value is None:
+                        value = memo[cell] = cell.strip() or UNKNOWN_VALUE
+                    column.append(value)
         except UnicodeDecodeError as exc:
             raise IngestError("%s is not UTF-8 text: %s" % (path, exc)) from exc
         except csv.Error as exc:
@@ -302,9 +323,10 @@ def load_log(
         raise IngestError("no loadable rows in %s" % path)
     attr_names = [TIME_ATTRIBUTE] + list(mapping.context_cols)
     columns = [times] + contexts
-    domains = [dict.fromkeys(values) for values in columns]
-    schema = ContextSchema.create(zip(attr_names, domains), behaviors)
+    domains = [dict.fromkeys(times)] + [dict.fromkeys(memo.values()) for memo in value_of]
+    schema = ContextSchema.create(zip(attr_names, domains), behavior_of.values())
     ds = Dataset.from_columns(schema, columns, behaviors)
     summary.loaded = len(ds)
+    summary.unsegmented = times.count(UNSEGMENTED)
     summary.cardinalities = {name: len(d) for name, d in zip(attr_names, domains)}
     return ds, summary

@@ -244,7 +244,8 @@ def random_dataset(rng: random.Random, max_attrs=4, max_vals=4, max_inst=12):
     attrs = []
     for i in range(n_attrs):
         n_vals = rng.randint(1, max_vals)
-        attrs.append(("a%d" % i, ["v%d" % j for j in range(n_vals)]))
+        # reverse string order, so that a miner taking domain order for value order shows
+        attrs.append(("a%d" % i, sorted(["v%d" % j for j in range(n_vals)], reverse=True)))
     n_classes = rng.randint(2, 3)
     classes = ["c%d" % j for j in range(n_classes)]
     schema = ContextSchema.create(attrs, classes)

@@ -92,6 +92,12 @@ class TestColumns:
         with pytest.raises(SchemaViolation, match=r"^distinct-row id not in range\(2\)$"):
             Dataset.from_distinct(demo_schema(), distinct, ids)
 
+    @pytest.mark.parametrize("ids,unused", [([0, 0, 0], 1), ([1, 1], 0), ([], 0)])
+    def test_a_distinct_row_no_id_names_is_refused(self, ids, unused):
+        distinct = [["Lunch", "Meeting"], ["Boss", "Friend"], ["Accept", "Reject"]]
+        with pytest.raises(SchemaViolation, match=r"^distinct row %d has no id$" % unused):
+            Dataset.from_distinct(demo_schema(), distinct, ids)
+
     def test_attribute_names_are_computed_once(self):
         schema = demo_schema()
         assert schema.attribute_names == ("Activity", "Relation")

@@ -303,9 +303,12 @@ STAMPS = st.one_of(
         st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
     ),
 )
-CALL_TYPES = st.sampled_from(["incoming", "missed", "outgoing", " Incoming", "videocall"])
-DURATIONS = st.sampled_from(["0", "42", " 7 ", "0", "42", "-1", "x", ""])
-CONTEXT = st.sampled_from(["Boss", "Friend", "", "  ", "a,b", 'say "hi"', "two\nlines", "Time"])
+# cells that decode alike but differ as text: case, padding, a sign, a leading zero
+CALL_TYPES = st.sampled_from(
+    ["incoming", "missed", "outgoing", " Incoming", "INCOMING", "videocall"])
+DURATIONS = st.sampled_from(["0", "42", " 7 ", "0", "42", "042", "+7", "-1", "x", ""])
+CONTEXT = st.sampled_from(["Boss", " Boss", "Boss ", "Friend", "", "  ", "a,b", 'say "hi"',
+                           "two\nlines", "Time"])
 
 
 @st.composite
@@ -320,9 +323,16 @@ def call_logs(draw):
     mapping = ColumnMapping("timestamp", "call_type", "duration", tuple(context_cols),
                             delimiter=draw(st.sampled_from([",", ";"])))
     fill = {"timestamp": STAMPS, "call_type": CALL_TYPES, "duration": DURATIONS}
+    # now and then every row repeats one of a few, so memoised cells and
+    # failures recur on later lines
+    pool = [[draw(fill.get(col, CONTEXT)) for col in header]
+            for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3])))]
     rows = [header]
     for _ in range(draw(st.integers(0, 10))):
-        row = [draw(fill.get(col, CONTEXT)) for col in header]
+        if pool:
+            row = list(draw(st.sampled_from(pool)))
+        else:
+            row = [draw(fill.get(col, CONTEXT)) for col in header]
         if not draw(st.integers(0, 8)):
             row = row[:draw(st.integers(1, len(row)))]
         elif not draw(st.integers(0, 8)):
@@ -407,6 +417,41 @@ def test_skip_reasons_name_the_file_line(tmp_path):
     assert [i.values["relation"] for i in ds.instances] == ["Boss", "Best\nFriend"]
     with pytest.raises(IngestError, match="^line 5: "):
         load_log(str(path), mapping, strict=True)
+
+
+def test_a_repeated_bad_call_is_refused_on_each_line(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "timestamp,call_type,duration,relation\n"  # line 1
+        "2004-09-17 09:30:00,videocall,42,Boss\n"
+        "2004-09-17 09:30:00,incoming,42,Boss\n"
+        "2004-09-17 09:30:00,videocall,42,Friend\n"  # line 4, the pair of line 2
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    ds, summary = load_log(str(path), mapping)
+    assert summary.skipped == 2 and summary.loaded == len(ds) == 1
+    assert summary.skip_reasons == [
+        "line 2: unknown call type 'videocall'",
+        "line 4: unknown call type 'videocall'",
+    ]
+    with pytest.raises(IngestError, match="^line 2: "):
+        load_log(str(path), mapping, strict=True)
+
+
+def test_a_domain_holds_stripped_values_in_first_observation_order(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "timestamp,call_type,duration,location\n"
+        "2004-09-17 09:30:00,incoming,42, Home\n"
+        "2004-09-17 09:30:00,incoming,42,Office \n"
+        "2004-09-17 09:30:00,incoming,42,Home\n"
+        "2004-09-17 09:30:00,incoming,42,\n"
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("location",))
+    ds, summary = load_log(str(path), mapping)
+    assert ds.schema.domain("location") == ("Home", "Office", "Unknown")
+    assert ds.columns[1] == ("Home", "Office", "Home", "Unknown")
+    assert summary.cardinalities["location"] == 3
 
 
 def test_summary_keeps_the_first_skip_reasons_and_counts_every_skip(tmp_path):
