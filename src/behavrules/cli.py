@@ -159,6 +159,9 @@ def _read_spec(path: str):
         antecedent = _spec_key(r, "antecedent", where)
         if not isinstance(antecedent, dict):
             raise ConfigError("%s antecedent is not a JSON object" % where)
+        consequent = _spec_key(r, "consequent", where)
+        if not isinstance(consequent, str):
+            raise ConfigError("%s consequent %r is not a string" % (where, consequent))
         weight = _spec_key(r, "weight", where)
         try:
             if isinstance(weight, bool):  # float() would read true as 1.0
@@ -168,7 +171,7 @@ def _read_spec(path: str):
             raise ConfigError("%s weight must be a number, got %r" % (where, weight)) from None
         planted.append(PlantedRuleSpec(
             antecedent=tuple(sorted(antecedent.items())),
-            consequent=_spec_key(r, "consequent", where),
+            consequent=consequent,
             target_confidence=harness.parse_threshold(str(_spec_key(r, "confidence", where))),
             weight=weight,
         ))
@@ -292,7 +295,7 @@ def _cmd_selftest(args) -> int:
     check("baseline finds 7 rules on the demo dataset", len(base) == 7)
     check(
         "tree rules are a subset of the baseline rules",
-        {r.key() for r in agt_rules} <= {r.key() for r in base},
+        set(agt_rules) <= set(base),
     )
     if failures:
         raise AssertionError("%d selftest checks failed" % failures)

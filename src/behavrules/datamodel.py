@@ -472,10 +472,6 @@ class Rule:
     def confidence(self) -> Fraction:
         return Fraction(self.support, self.coverage)
 
-    def key(self) -> tuple:
-        """Identity used when comparing rule sets across miners."""
-        return (self.antecedent, self.consequent, self.support, self.coverage)
-
     def __str__(self) -> str:
         conds = ", ".join("%s=%s" % c for c in self.sort_antecedent) or "(any)"
         pct = self.support / self.coverage * 100.0  # int division rounds like Fraction's float

@@ -1,8 +1,11 @@
 """Threshold sweeps comparing the tree miner against the Apriori baseline.
 
-Each rule either miner emits is emitted on one threshold interval, so a
-sweep mines once and counts, per threshold, the intervals that hold it,
-testing each distinct interval's ends once with datamodel.confidence_test.
+A sweep refuses bad input before it mines anything. Each rule either miner
+emits is emitted on one threshold interval, so a sweep mines once and
+counts, per threshold, the intervals that hold it, testing each distinct
+interval's ends once with datamodel.confidence_test. A miner's error, such
+as apriori.MAX_ITEMSETS or a schema with no context attributes, fills
+every row.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class SweepRow:
     apriori_rules: Optional[int]
     agt_rules: Optional[int]
     apriori_redundancy_ratio: Optional[Fraction]
+    # a miner's error, which fills every row of the sweep and leaves the counts None
     error: Optional[str] = None
 
 
@@ -77,8 +81,8 @@ def sweep(
     thresholds: Sequence[Fraction] = DEFAULT_THRESHOLDS,
     min_support: int = 1,
 ) -> SweepReport:
-    """Count both miners' rules at each threshold; a failing threshold records its reason."""
-    if min_support < 1:  # it would fail every threshold: an input error, not a row's
+    """Count both miners' rules at each threshold, refusing bad input before mining."""
+    if min_support < 1:  # MiningConfig checks it too, but only when there is a threshold
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
     thresholds = list(thresholds)
     if len(set(thresholds)) != len(thresholds):
@@ -88,40 +92,30 @@ def sweep(
         decreasing = all(a > b for a, b in zip(thresholds, thresholds[1:]))
         if not (increasing or decreasing):
             raise ConfigError("thresholds must be strictly increasing or decreasing")
+    configs = [agt.MiningConfig(t, min_support) for t in thresholds]  # refuses t outside (0, 1]
+    if not thresholds:
+        return SweepReport(ds.fingerprint(), min_support, ())
 
     # the baseline rule space is complete, so the CARs at any threshold are
     # among those of the lowest one: mine it once. A CAR counts on (0, c]
-    # and is kept after filtering on (shadow confidence, c].
-    baseline_error = None
-    if thresholds:
-        try:
-            cars = apriori.generate_cars(
-                ds, apriori.mine_frequent(ds, min_support), min(thresholds), min_support)
-        except (ValueError, ArithmeticError) as exc:
-            baseline_error = exc
-        else:
-            base = Counter(((0, 1), (r.support, r.coverage)) for r in cars)
-            kept = Counter(
-                (s or (0, 1), (r.support, r.coverage))
-                for r, s in zip(cars, apriori.shadows(cars))
-            )
-            del cars  # only integer pairs are held while the tree grows
-
-    # the tree's shape does not depend on the threshold: grow it once
-    tree = None
-    rows = []
-    for t in thresholds:
-        try:
-            if baseline_error is not None:
-                raise baseline_error
-            cfg = agt.MiningConfig(t, min_support)
-            if tree is None:
-                tree = Counter(agt.rule_intervals(agt.build_tree(ds, cfg), min_support))
+    # and is kept after filtering on (shadow confidence, c]. The tree's
+    # shape does not depend on the threshold: grow it once.
+    try:
+        cars = apriori.generate_cars(
+            ds, apriori.mine_frequent(ds, min_support), min(thresholds), min_support)
+        base = Counter(((0, 1), (r.support, r.coverage)) for r in cars)
+        kept = Counter(
+            (s or (0, 1), (r.support, r.coverage)) for r, s in zip(cars, apriori.shadows(cars)))
+        del cars  # only integer pairs are held while the tree grows
+        tree = Counter(agt.rule_intervals(agt.build_tree(ds, configs[0]), min_support))
+    except (ValueError, ArithmeticError) as exc:
+        rows = [SweepRow(t, None, None, None, error=str(exc)) for t in thresholds]
+    else:
+        rows = []
+        for t in thresholds:
             n_base, n_kept = _count(base, t), _count(kept, t)
             removed_ratio = Fraction(n_base - n_kept, n_base) if n_base else Fraction(0)
             rows.append(SweepRow(t, n_base, _count(tree, t), removed_ratio))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(t, None, None, None, error=str(exc)))
     return SweepReport(ds.fingerprint(), min_support, tuple(rows))
 
 
@@ -129,18 +123,25 @@ def _fmt_fraction(value: Fraction) -> str:
     return ("%.4f" % float(value)).rstrip("0").rstrip(".") or "0"
 
 
+def _row_view(row: SweepRow) -> dict:
+    """A row's fields as both renderings print them, keyed by REPORT_HEADER's names."""
+    ratio = row.apriori_redundancy_ratio
+    return {
+        "threshold": _fmt_fraction(row.threshold),
+        "apriori_rules": row.apriori_rules,
+        "agt_rules": row.agt_rules,
+        "apriori_redundancy_ratio": None if ratio is None else _fmt_fraction(ratio),
+        "error": row.error,
+    }
+
+
 def report_to_csv(report: SweepReport) -> str:
     lines = [REPORT_HEADER]
-    for row in report.rows:
-        if row.error is not None:
-            lines.append("%s,,,  # %s" % (_fmt_fraction(row.threshold), row.error))
+    for view in map(_row_view, report.rows):
+        if view["error"] is None:
+            lines.append(",".join(str(view[name]) for name in REPORT_HEADER.split(",")))
         else:
-            lines.append("%s,%d,%d,%s" % (
-                _fmt_fraction(row.threshold),
-                row.apriori_rules,
-                row.agt_rules,
-                _fmt_fraction(row.apriori_redundancy_ratio),
-            ))
+            lines.append("%s,,,  # %s" % (view["threshold"], view["error"]))
     return "\n".join(lines) + "\n"
 
 
@@ -148,18 +149,6 @@ def report_to_json(report: SweepReport) -> str:
     payload = {
         "dataset": report.dataset_id,
         "min_support": report.min_support,
-        "rows": [
-            {
-                "threshold": _fmt_fraction(row.threshold),
-                "apriori_rules": row.apriori_rules,
-                "agt_rules": row.agt_rules,
-                "apriori_redundancy_ratio": (
-                    None if row.apriori_redundancy_ratio is None
-                    else _fmt_fraction(row.apriori_redundancy_ratio)
-                ),
-                "error": row.error,
-            }
-            for row in report.rows
-        ],
+        "rows": [_row_view(row) for row in report.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -125,6 +125,8 @@ def reference_sweep(ds, thresholds, min_support=1):
 
     if min_support < 1:  # fails every threshold, so it fails the sweep
         raise ConfigError("min_support must be >= 1, got %d" % min_support)
+    for t in thresholds:  # so does a threshold outside (0, 1], before anything is mined
+        agt.MiningConfig(t, min_support)
     all_rules = None
     baseline_error = None
     if thresholds:

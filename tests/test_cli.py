@@ -148,6 +148,18 @@ class TestMining:
         assert capsys.readouterr().out.splitlines()[1:] == [
             "0.9,,,  # %s" % reason, "0.7,,,  # %s" % reason]
 
+    def test_a_tree_that_cannot_grow_fills_every_sweep_row(self, tmp_path, capsys):
+        path, report = tmp_path / "classes.csv", tmp_path / "r.json"
+        path.write_text("behavior\nA\nB\nA\n")
+        reason = "schema has no context attributes"
+        assert main(["sweep", str(path), "--thresholds", "90", "80", "--json", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "0.9,,,  # %s" % reason, "0.8,,,  # %s" % reason]
+        assert json.loads(report.read_text())["rows"] == [
+            {"threshold": t, "apriori_rules": None, "agt_rules": None,
+             "apriori_redundancy_ratio": None, "error": reason}
+            for t in ("0.9", "0.8")]
+
     def test_jsonl_output(self, demo_csv, capsys):
         code = main(["mine-agt", demo_csv, "--min-conf", "0.75", "--format", "jsonl"])
         assert code == 0
@@ -358,10 +370,15 @@ class TestInputErrors:
             (dict(GEN_SPEC, classes=[["Accept"]]), "spec class ['Accept'] is not a string"),
             (dict(GEN_SPEC, attributes=dict(GEN_SPEC["attributes"], Relation=[True, "Friend"])),
              "spec attribute 'Relation' value True is not a string"),
+            *[
+                (dict(GEN_SPEC, rules=[dict(GEN_SPEC["rules"][0], consequent=c)]),
+                 "spec rule 1 consequent %r is not a string" % (c,))
+                for c in (["Accept"], {"a": 1})
+            ],
         ],
         ids=["not-an-object", "n-not-integer", "seed-not-integer", "missing-key",
              "weight-nan", "weight-inf", "weight-1e308", "weight-true", "value-number",
-             "class-list", "value-bool"],
+             "class-list", "value-bool", "consequent-list", "consequent-object"],
     )
     def test_bad_gen_spec_exits_1_naming_the_problem(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
@@ -536,6 +553,40 @@ def test_any_mapping_text_exits_0_or_1(tmp_path, text):
     mapping.write_text(text, encoding="utf-8")
     out = tmp_path / "dataset.csv"
     assert main(["ingest", str(log), "--mapping", str(mapping), "--out", str(out)]) in (0, 1)
+
+
+SPEC_SLOTS = ["attributes", "domain value", "classes", "antecedent value", "consequent",
+              "confidence", "weight"]
+
+
+@st.composite
+def specs_with_one_slot_changed(draw):
+    """GEN_SPEC at a small n with one slot holding an arbitrary JSON value."""
+    spec = json.loads(json.dumps(dict(GEN_SPEC, n=20)))  # a deep copy; a huge n would allocate
+    rule, value = spec["rules"][0], draw(JSON_VALUES)
+    slot = draw(st.sampled_from(SPEC_SLOTS))
+    if slot == "domain value":
+        spec["attributes"]["Relation"][draw(st.integers(0, 2))] = value
+    elif slot == "antecedent value":
+        rule["antecedent"]["Relation"] = value
+    elif slot in rule:
+        rule[slot] = value
+    else:
+        spec[slot] = value
+    return spec
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=specs_with_one_slot_changed())
+def test_any_spec_value_exits_0_or_1(tmp_path, capsys, spec):
+    path, log = tmp_path / "spec.json", tmp_path / "log.csv"
+    path.write_text(json.dumps(spec))
+    code = main(["gen", "--spec", str(path), "--out", str(log)])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 DATASET_CELLS = {

@@ -6,6 +6,7 @@ the references filter instance lists, enumerate condition sets and join
 row bitsets level by level."""
 
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -404,17 +405,21 @@ def test_sweep_matches_one_run_per_threshold(case, decreasing, min_support):
     ds, thresholds = case
     if decreasing:
         thresholds.reverse()
-    if min_support < 1:  # an input error of the whole sweep, raised alike
+    if min_support < 1 or not all(0 < t <= 1 for t in thresholds):
+        # an input error of the whole sweep, raised alike
         with pytest.raises(ConfigError) as expected:
             reference_sweep(ds, thresholds, min_support)
-        with pytest.raises(ConfigError, match="^%s$" % expected.value):
+        with pytest.raises(ConfigError, match="^%s$" % re.escape(str(expected.value))):
             harness.sweep(ds, thresholds, min_support)
         return
-    with mock.patch.object(agt, "build_tree", wraps=agt.build_tree) as build, \
+    with mock.patch.object(apriori, "mine_frequent", wraps=apriori.mine_frequent) as mine, \
+            mock.patch.object(agt, "build_tree", wraps=agt.build_tree) as build, \
             mock.patch.object(agt, "extract_rules", wraps=agt.extract_rules) as extract:
         report = harness.sweep(ds, thresholds, min_support)
     assert report == reference_sweep(ds, thresholds, min_support)
-    # the sweep counts rule intervals of one tree; it extracts nothing
+    # the sweep mines the baseline once and counts rule intervals of at most
+    # one tree; it extracts nothing
+    assert build.call_count <= mine.call_count == (1 if thresholds else 0)
     assert extract.call_count == 0
     if any(row.error is None for row in report.rows):
         assert build.call_count == 1

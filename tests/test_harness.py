@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -83,6 +85,16 @@ class TestSweep:
     def test_non_monotone_thresholds_rejected(self):
         with pytest.raises(ConfigError):
             sweep(demo_dataset(), [Fraction(1), Fraction(1, 2), Fraction(3, 4)])
+
+    @pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(0), Fraction(-1, 2)])
+    def test_a_threshold_out_of_range_is_refused_before_mining(self, bad):
+        # patched on their modules, where the sweep looks them up
+        message = "confidence threshold must be in (0, 1], got %s" % bad
+        with mock.patch.object(apriori, "mine_frequent", wraps=apriori.mine_frequent) as mine, \
+                mock.patch.object(agt, "build_tree", wraps=agt.build_tree) as grow, \
+                pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+            sweep(demo_dataset(), sorted([Fraction(1, 2), bad], reverse=True))
+        assert (mine.call_count, grow.call_count) == (0, 0)
 
     def test_rows_match_independent_runs(self):
         ds = demo_dataset()
