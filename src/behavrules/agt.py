@@ -214,7 +214,9 @@ def tree_to_dot(root: AgtNode) -> str:
 
     The marks are those of the last extract_rules on the tree, so a tree
     never extracted has none. Every node's line comes first, then every
-    edge's, each in preorder."""
+    edge's, each in preorder. A label writes a backslash as \\\\, a double
+    quote as \\" and a line feed as \\n, so no value ends the string, breaks
+    the line or starts a graphviz escape."""
     nodes = ["digraph agt {", '  node [shape=box, fontname="Helvetica"];']
     edges = []
     for node in root.walk():
@@ -223,6 +225,8 @@ def tree_to_dot(root: AgtNode) -> str:
         label = "%d | %s | %s %.0f%%" % (
             node.node_id, branch, node.dominant_behavior, pct,
         )
+        if "\\" in label or '"' in label or "\n" in label:  # seldom, so test first
+            label = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         style = ' style=dashed color=red' if node.redundant else ""
         nodes.append('  n%d [label="%s"%s];' % (node.node_id, label, style))
         for child in node.children:

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -8,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import behavrules
 from behavrules import apriori, serialize
@@ -30,6 +33,7 @@ from oracles import distinct_row_ids, example_tree, random_dataset, rule_keys
 
 T75 = MiningConfig(Fraction(3, 4))
 T100 = MiningConfig(Fraction(1))
+DOT_NODE = re.compile(r'^  n\d+ \[label="((?:[^"\\\n]|\\.)*)"( style=dashed color=red)?\];$')
 
 
 def _mine(ds, cfg):
@@ -275,6 +279,37 @@ class TestDotExport:
             assert "n%d [label=" % node.node_id in dot
         assert dot.count("style=dashed color=red") == 1  # the redundant node
         assert "n1 -> n2;" in dot
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_labels_escape_backslashes_quotes_and_line_feeds(self, data):
+        # names, values and classes drawn from the characters a DOT string must
+        # escape and the letters of graphviz's own escapes (\N, \l, \n)
+        text = st.text(alphabet='\\"\nNln =|%', min_size=1, max_size=5)
+        names = data.draw(st.lists(text, min_size=1, max_size=2, unique=True))
+        attrs = [(name, data.draw(st.lists(text, min_size=1, max_size=3, unique=True)))
+                 for name in names]
+        classes = data.draw(st.lists(text, min_size=2, max_size=3, unique=True))
+        rows = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(d) for _, d in attrs), st.sampled_from(classes)),
+            min_size=1, max_size=12,
+        ))
+        *columns, behaviors = zip(*rows)
+        ds = Dataset.from_columns(ContextSchema.create(attrs, classes), columns, behaviors)
+        root = build_tree(ds, T75)
+        extract_rules(root, T75)
+        lines = tree_to_dot(root).split("\n")
+        nodes = list(root.walk())
+        edges = ["  n%d -> n%d;" % (n.node_id, c.node_id) for n in nodes for c in n.children]
+        assert lines[2 + len(nodes):] == edges + ["}", ""]
+        for node, line in zip(nodes, lines[2:]):
+            match = DOT_NODE.match(line)
+            assert match, line
+            label = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], match[1])
+            branch = "%s=%s" % node.branch if node.branch else "root"
+            assert label == "%d | %s | %s %.0f%%" % (
+                node.node_id, branch, node.dominant_behavior, node.support / node.size * 100,
+            )
 
 
 REPO = Path(__file__).resolve().parents[1]

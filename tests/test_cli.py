@@ -93,6 +93,14 @@ class TestMining:
         assert out.count("=>") == 3
         assert dot.read_text().startswith("digraph agt {")
 
+    def test_dot_escapes_a_quoted_value(self, tmp_path, capsys):
+        path, dot = tmp_path / "dataset.csv", tmp_path / "tree.dot"
+        path.write_text('Place,behavior\n"Road ""A""",Missed\n"Road ""A""",Missed\n'
+                        "Home,Accept\nHome,Accept\nHome,Missed\n")
+        assert main(["mine-agt", str(path), "--min-conf", "60", "--dot", str(dot)]) == 0
+        assert '  n2 [label="2 | Place=Road \\"A\\" | Missed 100%" style=dashed color=red];' \
+            in dot.read_text().splitlines()
+
     def test_deep_tree_mines_under_a_low_recursion_limit(self, tmp_path, capsys):
         # 300 constant columns over classes A/B/A/B grow a chain 301 nodes deep
         path = _constant_columns(tmp_path, 300, "ABAB")

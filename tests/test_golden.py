@@ -67,18 +67,21 @@ def test_output_matches_golden_bytes(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["agt.txt", "sweep.csv"])
+@pytest.mark.parametrize("name", list(COMMANDS))
 def test_mining_bytes_do_not_depend_on_the_hash_seed(tmp_path, name):
-    # the tree's gains and the sweep's counts come out the same whatever order
-    # a hash-seeded set or dict hands out labels, values and conditions
+    # every command's output comes out the same whatever order a hash-seeded
+    # set or dict hands out labels, values and conditions
     src = str(Path(behavrules.__file__).resolve().parents[1])
     command, *rest = COMMANDS[name]
-    side, flag = next((s, f) for s, (owner, f) in SIDE_FILES.items() if owner == name)
+    sides = [(s, f) for s, (owner, f) in SIDE_FILES.items() if owner == name]
     for seed in ("1", "2", "3", "4"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        argv = [command, str(GOLDEN / "dataset.csv"), *rest, flag, str(tmp_path / side)]
+        argv = [command, str(GOLDEN / "dataset.csv"), *rest]
+        for side, flag in sides:
+            argv += [flag, str(tmp_path / side)]
         done = subprocess.run([sys.executable, "-m", "behavrules", *argv],
                               env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / name).read_bytes()
-        assert (tmp_path / side).read_bytes() == (GOLDEN / side).read_bytes()
+        for side, _ in sides:
+            assert (tmp_path / side).read_bytes() == (GOLDEN / side).read_bytes()
