@@ -10,10 +10,9 @@ lists the frequent itemsets in output order with, from the same tallies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .datamodel import Condition, ConfigError, Dataset, Rule, confidence_test
 
@@ -23,8 +22,7 @@ from .datamodel import Condition, ConfigError, Dataset, Rule, confidence_test
 MAX_ITEMSETS = 200_000
 
 
-@dataclass(frozen=True)
-class FrequentItemset:
+class FrequentItemset(NamedTuple):
     items: frozenset[Condition]
     support: int  # number of instances matching every condition
     # instances matching every condition, per class in sorted-label order

@@ -48,10 +48,6 @@ def _write(path, text):
             fh.write(text)
 
 
-def _seg_config(args) -> SegmentationConfig:
-    return SegmentationConfig(mode=args.seg_mode, bucket_hours=args.bucket_hours)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="behavrules", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +119,10 @@ def _spec_int(value, key: str) -> int:
 def _read_spec(path: str):
     """(schema, planted rules, spec) from a JSON generation spec."""
     with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:  # bad JSON, or an integer past the digit limit
+            raise ConfigError(str(exc)) from None
     if not isinstance(spec, dict):
         raise ConfigError("spec %s is not a JSON object" % path)
     attributes = _spec_key(spec, "attributes", "spec")
@@ -189,7 +188,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ingest(args) -> int:
     mapping = ColumnMapping.from_file(args.mapping)
-    ds, summary = load_log(args.log, mapping, _seg_config(args), strict=args.strict)
+    seg = SegmentationConfig(mode=args.seg_mode, bucket_hours=args.bucket_hours)
+    ds, summary = load_log(args.log, mapping, seg, strict=args.strict)
     _write(args.out, serialize.dataset_to_csv(ds))
     sys.stderr.write(str(summary) + "\n")
     return 0
@@ -323,13 +323,9 @@ def main(argv=None) -> int:
         SchemaViolation,
         GenerationError,
         EmptyDatasetError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
+        OSError,
         UnicodeDecodeError,
         csv.Error,
-        json.JSONDecodeError,
     ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -253,14 +253,11 @@ class Dataset:
     schema: ContextSchema
 
     def __init__(self, schema: ContextSchema, instances: Iterable[Instance]):
-        """Columns of instances, which are taken as valid (see create)."""
-        values = []
-        behaviors = []
-        for inst in instances:
-            values.append(inst.values)
-            behaviors.append(inst.behavior)
-        columns = tuple(tuple(v[name] for v in values) for name in schema.attribute_names)
-        self._fill(schema, len(behaviors), columns=columns, behaviors=tuple(behaviors))
+        """Columns of instances, which are taken as valid (see create) and kept."""
+        instances = tuple(instances)
+        columns = tuple(tuple(i.values[name] for i in instances) for name in schema.attribute_names)
+        behaviors = tuple(i.behavior for i in instances)
+        self._fill(schema, len(instances), columns=columns, behaviors=behaviors, instances=instances)
 
     def _fill(self, schema, size, **views) -> "Dataset":
         """Set the schema, the row count and the given views, unchecked."""
@@ -368,16 +365,7 @@ class Dataset:
         if val not in self.schema.domain(attr):  # also rejects unknown attr
             raise SchemaViolation("value %r not in domain of %r" % (val, attr))
         column = self.columns[self.schema.attribute_names.index(attr)]
-        rows = [i for i, v in enumerate(column) if v == val]
-        sub = Dataset.__new__(Dataset)._fill(
-            self.schema,
-            len(rows),
-            columns=tuple(tuple(values[i] for i in rows) for values in self.columns),
-            behaviors=tuple(self.behaviors[i] for i in rows),
-        )
-        instances = self.instances
-        sub.__dict__["instances"] = tuple(instances[i] for i in rows)
-        return sub
+        return Dataset(self.schema, [inst for inst, v in zip(self.instances, column) if v == val])
 
     @cached_property
     def codes(self) -> RowCodes:

@@ -30,13 +30,17 @@ def parse_threshold(text: str) -> Fraction:
     """Accept "80", "80%", or "0.8".
 
     A "%" suffix always means percent ("0.5%" is 1/200); a bare number
-    above 1 is a percentage too, so "80" and "0.8" agree.
+    above 1 is a percentage too, so "80" and "0.8" agree. An exponent of
+    1000 or more in magnitude is refused before Fraction scales by it.
     """
     number = text.strip()
     percent = number.endswith("%")
     if percent:
         number = number[:-1]
+    _, e, exponent = number.lower().partition("e")
     try:
+        if e and abs(int(exponent)) >= 1000:  # 1e-10000000 takes Fraction seconds
+            raise ValueError(exponent)
         value = Fraction(number)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("bad threshold %r" % text) from exc

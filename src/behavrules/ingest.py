@@ -157,7 +157,10 @@ class ColumnMapping:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            raw = json.loads(text)
+            try:
+                raw = json.loads(text)
+            except ValueError as exc:  # bad JSON, or an integer past the digit limit
+                raise ConfigError(str(exc)) from None
         else:
             raw = {}
             for line in text.splitlines():

@@ -76,6 +76,28 @@ def sample_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def inputs(tmp_path, demo_csv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GEN_SPEC))
+    mapping = tmp_path / "map.conf"
+    mapping.write_text(MAPPING_TEXT)
+    log = tmp_path / "log.csv"
+    assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    return {"dataset": demo_csv, "spec": str(spec), "mapping": str(mapping),
+            "log": str(log), "folder": str(folder)}
+
+
+def _run_cli(*argv):
+    """The command line in a fresh interpreter, which fails the test if it runs past 10 s."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "behavrules", *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+
+
 class TestMining:
     def test_mine_apriori_filtered_prints_two_rules(self, sample_csv, capsys):
         code = main(["mine-apriori", sample_csv, "--min-conf", "0.80", "--filter-redundant"])
@@ -306,19 +328,6 @@ class TestErrors:
 
 
 class TestInputErrors:
-    @pytest.fixture
-    def inputs(self, tmp_path, demo_csv):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(GEN_SPEC))
-        mapping = tmp_path / "map.conf"
-        mapping.write_text(MAPPING_TEXT)
-        log = tmp_path / "log.csv"
-        assert main(["gen", "--spec", str(spec), "--out", str(log)]) == 0
-        folder = tmp_path / "folder"
-        folder.mkdir()
-        return {"dataset": demo_csv, "spec": str(spec), "mapping": str(mapping),
-                "log": str(log), "folder": str(folder)}
-
     ARGV = {
         "dataset": ["mine-agt", "{folder}", "--min-conf", "80"],
         "log": ["ingest", "{folder}", "--mapping", "{mapping}"],
@@ -357,6 +366,68 @@ class TestInputErrors:
         assert main(["rank", demo_csv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
+
+    PATH_ARGV = {
+        "rank-dataset": ["rank", "{bad}"],
+        "ingest-log": ["ingest", "{bad}", "--mapping", "{mapping}"],
+        "mapping": ["ingest", "{log}", "--mapping", "{bad}"],
+        "spec": ["gen", "--spec", "{bad}"],
+        "ingest-out": ["ingest", "{log}", "--mapping", "{mapping}", "--out", "{bad}"],
+        "dot": ["mine-agt", "{dataset}", "--min-conf", "80", "--dot", "{bad}"],
+        "json": ["sweep", "{dataset}", "--json", "{bad}"],
+        "gen-out": ["gen", "--spec", "{spec}", "--out", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("bad", ["long-name", "symlink-loop"])
+    @pytest.mark.parametrize("which", list(PATH_ARGV))
+    def test_any_os_error_on_a_path_exits_1_with_one_line(
+        self, inputs, tmp_path, capsys, which, bad
+    ):
+        if bad == "long-name":
+            path = tmp_path / ("a" * 300)  # past the 255-byte limit on one name
+        else:
+            path, other = tmp_path / "loop", tmp_path / "pool"
+            path.symlink_to(other)
+            other.symlink_to(path)
+        capsys.readouterr()
+        argv = [arg.format(bad=path, **inputs) for arg in self.PATH_ARGV[which]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--spec", "--mapping"])
+    def test_a_json_integer_past_the_digit_limit_exits_1_with_one_line(
+        self, inputs, tmp_path, capsys, option
+    ):
+        path = tmp_path / "big.json"
+        base = GEN_SPEC if option == "--spec" else MAPPING
+        # written by hand: json.dumps cannot convert such an integer either
+        path.write_text('{"x": %s, %s' % ("1" * 5000, json.dumps(base)[1:]))
+        if option == "--spec":
+            argv = ["gen", "--spec", str(path)]
+        else:
+            argv = ["ingest", inputs["log"], "--mapping", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(4300 digits)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine-agt", "{dataset}", "--min-conf", "1e-100000000"],
+            ["sweep", "{dataset}", "--thresholds", "80", "1e-100000000"],
+            ["gen", "--spec", "{exponent_spec}"],
+        ],
+        ids=["min-conf", "thresholds", "spec-confidence"],
+    )
+    def test_a_huge_threshold_exponent_exits_1_at_once(self, inputs, tmp_path, argv):
+        spec = tmp_path / "exponent.json"
+        rule = dict(GEN_SPEC["rules"][0], confidence="1e-100000000")
+        spec.write_text(json.dumps(dict(GEN_SPEC, rules=[rule])))
+        proc = _run_cli(*(arg.format(exponent_spec=spec, **inputs) for arg in argv))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: bad threshold '1e-100000000'\n"
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -856,3 +927,54 @@ class TestPipeline:
         monkeypatch.setenv("BEHAVRULES_OUT", str(tmp_path))
         assert main(["mine-agt", demo_csv, "--min-conf", "75", "--dot", "tree.dot"]) == 0
         assert (tmp_path / "tree.dot").exists()
+
+
+class TestOutputDir:
+    OUT_ARGV = {
+        "json": ["sweep", "{dataset}", "--json", "{path}"],
+        "dot": ["mine-agt", "{dataset}", "--min-conf", "80", "--dot", "{path}"],
+        "ingest-out": ["ingest", "{log}", "--mapping", "{mapping}", "--out", "{path}"],
+        "gen-out": ["gen", "--spec", "{spec}", "--out", "{path}"],
+    }
+
+    @pytest.fixture
+    def base(self, tmp_path, monkeypatch):
+        base = tmp_path / "out"
+        base.mkdir()
+        monkeypatch.setenv("BEHAVRULES_OUT", str(base))
+        return base
+
+    def _argv(self, which, inputs, path):
+        return [arg.format(path=path, **inputs) for arg in self.OUT_ARGV[which]]
+
+    @pytest.mark.parametrize("which", list(OUT_ARGV))
+    def test_a_relative_path_lands_under_the_output_dir(
+        self, inputs, base, monkeypatch, capsys, which
+    ):
+        monkeypatch.chdir(inputs["folder"])
+        assert main(self._argv(which, inputs, "result")) == 0
+        assert (base / "result").stat().st_size > 0
+        assert os.listdir(inputs["folder"]) == []
+
+    @pytest.mark.parametrize("which", list(OUT_ARGV))
+    def test_an_absolute_path_or_dash_ignores_the_output_dir(
+        self, inputs, base, tmp_path, capsys, which
+    ):
+        target = tmp_path / "result"
+        assert main(self._argv(which, inputs, target)) == 0
+        capsys.readouterr()
+        assert main(self._argv(which, inputs, "-")) == 0
+        # read_text reads a CRLF log's line ends as "\n", like gen's stdout
+        assert target.read_text() in capsys.readouterr().out
+        assert os.listdir(base) == []
+
+    @pytest.mark.parametrize("which", list(OUT_ARGV))
+    def test_a_missing_output_dir_exits_1_with_one_line(
+        self, inputs, tmp_path, monkeypatch, capsys, which
+    ):
+        monkeypatch.setenv("BEHAVRULES_OUT", str(tmp_path / "missing"))
+        capsys.readouterr()
+        assert main(self._argv(which, inputs, "result")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1

@@ -76,6 +76,13 @@ class TestColumns:
         assert first == (Instance({"Activity": "Lunch", "Relation": "Boss"}, "Accept"),)
         assert ds.instances is first
 
+    def test_the_given_instances_are_the_instances_view(self):
+        given = [Instance({"Activity": "Lunch", "Relation": "Boss"}, "Accept"),
+                 Instance({"Activity": "Meeting", "Relation": "Friend"}, "Reject")]
+        ds = Dataset(demo_schema(), iter(given))
+        assert len(ds.instances) == 2
+        assert all(kept is inst for kept, inst in zip(ds.instances, given))
+
     def test_equality_compares_columns_not_the_view(self):
         a, b = demo_dataset(), demo_dataset()
         a.instances  # build one view only

@@ -45,6 +45,24 @@ class TestParseThreshold:
             parse_threshold(text)
 
     @pytest.mark.parametrize(
+        "text", ["1e-1000", "1E1000", "8e+1000%", "1e-1_000", "0.5e-1234"])
+    def test_an_exponent_of_1000_or_more_is_refused(self, text):
+        with pytest.raises(ConfigError, match="^bad threshold "):
+            parse_threshold(text)
+
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-999, 999), st.booleans())
+    def test_an_exponent_below_1000_keeps_its_value(self, mantissa, exponent, percent):
+        value = Fraction(mantissa) * Fraction(10) ** exponent
+        if percent or value > 1:
+            value /= 100
+        text = "%de%d%s" % (mantissa, exponent, "%" if percent else "")
+        if 0 < value <= 1:
+            assert parse_threshold(text) == value
+        else:
+            with pytest.raises(ConfigError, match="^threshold must be in"):
+                parse_threshold(text)
+
+    @pytest.mark.parametrize(
         "text,expected",
         [("1%", Fraction(1, 100)), ("0.5%", Fraction(1, 200)), ("100%", Fraction(1))],
     )
