@@ -242,9 +242,12 @@ def _cmd_sweep(args) -> int:
     else:
         thresholds = list(harness.DEFAULT_THRESHOLDS)
     report = harness.sweep(ds, thresholds, args.min_support)
-    sys.stdout.write(harness.report_to_csv(report))
-    if args.json:
+    text = harness.report_to_csv(report)
+    if args.json == "-":
+        text += harness.report_to_json(report)
+    elif args.json:  # written before stdout, so a file that fails leaves stdout empty
         _write(args.json, harness.report_to_json(report))
+    sys.stdout.write(text)
     return 0
 
 

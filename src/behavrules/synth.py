@@ -4,8 +4,10 @@ Label quotas are allocated exactly (counts, then a seeded shuffle) rather
 than sampled independently, so each planted rule's realized confidence
 stays within 2 percentage points of its target even at small sizes.
 
-PRNG: python's random.Random (Mersenne Twister, MT19937), seeded per call;
-kept stable so identical arguments always reproduce the same dataset.
+PRNG: python's random.Random (Mersenne Twister, MT19937), seeded per call, so
+identical arguments always reproduce the same dataset. The stream depends on
+getrandbits alone: each draw below m is getrandbits(m.bit_length()), redrawn
+while >= m, the way random.choice and random.shuffle draw on CPython 3.10-3.13.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable
 
 from .datamodel import Condition, ContextSchema, Dataset
@@ -76,7 +80,7 @@ def generate(
         if spec.consequent not in schema.behavior_classes:
             raise GenerationError("spec consequent %r not in schema" % spec.consequent)
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     classes = sorted(schema.behavior_classes)
     quotas = [round(spec.weight * n) for spec in specs]
     if sum(quotas) > n:
@@ -86,15 +90,33 @@ def generate(
     if any(q == 0 for q in quotas):
         raise GenerationError("a planted rule's quota rounded to zero; raise n or weight")
 
+    def sampler(seq):
+        """Endless draws of seq[r], r the first getrandbits(len(seq).bit_length()) < len(seq)."""
+        size = len(seq)
+        return map(seq.__getitem__, filter(size.__gt__, map(getrandbits, repeat(size.bit_length()))))
+
     position = {name: i for i, name in enumerate(schema.attribute_names)}
 
-    def draw(fixed, avoid):
-        """Values in schema order, fixed where given, matching none of avoid; None if stuck."""
-        for _attempt in range(10000):
-            values = [fixed.get(attr) or rng.choice(domain) for attr, domain in schema.attributes]
-            if not any(all(values[position[a]] == v for a, v in ante) for ante in avoid):
-                return values
-        return None
+    def matcher(ante):
+        """(get, want) with get(values) == want just when a row of values matches ante."""
+        ps, vs = [position[a] for a, _ in ante], tuple(v for _, v in ante)
+        return (itemgetter(*ps), vs if len(vs) > 1 else vs[0]) if ps else (lambda values: (), ())
+
+    def draws(fixed, avoid, stuck):
+        """Rows of values in schema order, fixed where given, each matching none of avoid."""
+        sources = [repeat(fixed[a]) if a in fixed else sampler(d) for a, d in schema.attributes]
+        avoid = [matcher(ante) for ante in avoid]
+        while True:
+            for _attempt in range(10000):
+                values = tuple(map(next, sources))
+                for get, want in avoid:
+                    if get(values) == want:
+                        break
+                else:
+                    yield values
+                    break
+            else:
+                raise GenerationError(stuck)
 
     rows: list[tuple[str, ...]] = []  # values in schema order, then the class
     for spec, quota in zip(specs, quotas):
@@ -105,33 +127,26 @@ def generate(
                 "quota %d too small to realize confidence %s within 2pp"
                 % (quota, spec.target_confidence)
             )
-        fixed = dict(spec.antecedent)
         others = [c for c in classes if c != spec.consequent]
+        negatives = sampler(others) if others else repeat(spec.consequent)
         # overlap with another planted antecedent would skew its realized confidence
         foreign = [s.antecedent for s in specs if s is not spec]
-        for i in range(quota):
-            values = draw(fixed, foreign)
-            if values is None:
-                raise GenerationError(
-                    "could not draw instances for %s avoiding other planted antecedents"
-                    % (spec.antecedent,)
-                )
-            if i < positives:
-                behavior = spec.consequent
-            else:
-                behavior = rng.choice(others) if others else spec.consequent
-            rows.append((*values, behavior))
+        stuck = ("could not draw instances for %s avoiding other planted antecedents"
+                 % (spec.antecedent,))
+        for i, values in zip(range(quota), draws(dict(spec.antecedent), foreign, stuck)):
+            rows.append((*values, spec.consequent if i < positives else next(negatives)))
 
-    antecedents = [spec.antecedent for spec in specs]
-    for _ in range(n - sum(quotas)):
-        values = draw({}, antecedents)
-        if values is None:
-            raise GenerationError(
-                "could not draw background instances avoiding the planted antecedents"
-            )
-        rows.append((*values, rng.choice(classes)))
+    stuck = "could not draw background instances avoiding the planted antecedents"
+    drawn = zip(draws({}, [spec.antecedent for spec in specs], stuck), sampler(classes))
+    rows.extend((*values, label) for values, label in islice(drawn, n - sum(quotas)))
+    del drawn  # its generator holds the samplers; free them before the transpose
 
-    rng.shuffle(rows)
+    for i in range(len(rows) - 1, 0, -1):  # as random.shuffle swaps, j drawn as sampler draws
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        rows[i], rows[j] = rows[j], rows[i]
     *columns, behaviors = zip(*rows)
     return Dataset.from_columns(schema, columns, behaviors)
 

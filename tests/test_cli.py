@@ -335,6 +335,7 @@ class TestInputErrors:
         "spec": ["gen", "--spec", "{folder}"],
         "out": ["gen", "--spec", "{spec}", "--out", "{folder}"],
         "dot": ["mine-agt", "{dataset}", "--min-conf", "80", "--dot", "{folder}"],
+        "json": ["sweep", "{dataset}", "--json", "{folder}"],
     }
 
     @pytest.mark.parametrize("which", list(ARGV))
@@ -342,8 +343,9 @@ class TestInputErrors:
         capsys.readouterr()
         argv = [arg.format(**inputs) for arg in self.ARGV[which]]
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert out == ""
 
     def test_file_for_a_directory_exits_1_with_one_line(self, inputs, capsys):
         capsys.readouterr()

@@ -2,7 +2,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from behavrules.agt import MiningConfig, build_tree, extract_rules
@@ -109,17 +109,19 @@ def generation_args(draw):
     """A random schema, 0-3 planted specs, n and seed.
 
     Specs may overlap or repeat an attribute; now and then one is empty,
-    names a value outside its attribute's domain or an unknown class.
+    names a value outside its attribute's domain or an unknown class. Now
+    and then a domain has 5-130 values or there are up to 9 classes, so the
+    draws cross sizes where the number of bits a draw takes changes.
     """
 
     def rarely():
         return draw(st.integers(0, 9)) == 0
 
-    domains = [
-        ["v%d" % j for j in range(draw(st.integers(1, 4)))]
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    classes = ["c%d" % j for j in range(draw(st.integers(1, 4)))]
+    def size(most):
+        return draw(st.integers(5, most) if rarely() else st.integers(1, 4))
+
+    domains = [["v%d" % j for j in range(size(130))] for _ in range(draw(st.integers(1, 4)))]
+    classes = ["c%d" % j for j in range(size(9))]
     schema = ContextSchema.create([("a%d" % i, d) for i, d in enumerate(domains)], classes)
 
     def condition():
@@ -138,8 +140,17 @@ def generation_args(draw):
     return schema, specs, draw(st.integers(1, 300)), draw(st.integers(0, 2**32))
 
 
+# every size beside 8, 64 and 128, where a draw's bit count changes, in one schema
+EDGE_SIZES = ContextSchema.create(
+    [("a%d" % i, ["v%d" % j for j in range(size)])
+     for i, size in enumerate((7, 8, 9, 63, 64, 65, 127, 128, 129))],
+    ["c%d" % j for j in range(9)],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(args=generation_args())
+@example(args=(EDGE_SIZES, [PlantedRuleSpec((("a4", "v5"),), "c2", Fraction(3, 4), 0.2)], 300, 5))
 def test_generate_matches_the_row_object_reference(args):
     try:
         want = reference_generate(*args)
