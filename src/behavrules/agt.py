@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import precedence
 from .datamodel import (
     Condition,
     ConfigError,
@@ -37,7 +38,6 @@ from .datamodel import (
     Rule,
     confidence_test,
 )
-from .precedence import all_rows, rank_splits, split
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
     top: list[AgtNode] = []
 
     # nodes to make; children go on last first, so ids follow preorder
-    stack = [(*all_rows(ds), None, contexts, None, top)]
+    stack = [(*precedence.all_rows(ds), None, contexts, None, top)]
     while stack:
         rows, counts, branch, remaining, splits, siblings = stack.pop()
         # counts are in labels order, so a tie for the largest goes to the lowest label
@@ -117,12 +117,12 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
 
         if global_ranking and branch is not None:
             # below the root, remaining is in the root's ranking order
-            best = split(ds, rows, counts, remaining[0])
+            best = precedence.split(ds, rows, counts, remaining[0])
             rest = remaining[1:]
         else:
             if splits is None:  # in remaining order, as rank_splits needs
-                splits = [split(ds, rows, counts, a) for a in remaining]
-            ranked = rank_splits(splits)
+                splits = [precedence.split(ds, rows, counts, a) for a in remaining]
+            ranked = precedence.rank_splits(splits)
             best = ranked[0]
             if global_ranking:
                 rest = [s.attr for s in ranked[1:]]

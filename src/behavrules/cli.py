@@ -14,10 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import agt, apriori, fixtures, harness, precedence, serialize, synth
-from .datamodel import ConfigError, ContextSchema, EmptyDatasetError, SchemaViolation
-from .ingest import ColumnMapping, IngestError, SegmentationConfig, load_log
-from .synth import GenerationError, PlantedRuleSpec
+from . import agt, apriori, fixtures, harness, ingest, precedence, serialize, synth
+from .datamodel import ConfigError, ContextSchema, InputError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="override instance count")
     p.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p.add_argument("--out", default="-", help="raw call-log output path")
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("ingest", help="load a raw call log into a dataset file")
     p.add_argument("log", help="delimited call-log file with a header row")
@@ -66,10 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg-mode", default="weekday-hour-bucket",
                    choices=["weekday-hour-bucket", "weekday-only"])
     p.add_argument("--bucket-hours", type=int, default=2)
+    p.set_defaults(run=_cmd_ingest)
 
     p = sub.add_parser("rank", help="rank context attributes by information gain")
     p.add_argument("dataset", help="dataset CSV file")
     p.add_argument("--attrs", nargs="+", default=None, help="candidate attributes")
+    p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser("mine-agt", help="mine non-redundant rules with the tree miner")
     p.add_argument("dataset")
@@ -80,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-redundancy", action="store_true")
     p.add_argument("--dot", default=None, help="also write the tree as DOT")
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
+    p.set_defaults(run=_cmd_mine_agt)
 
     p = sub.add_parser("mine-apriori", help="mine class-association rules (baseline)")
     p.add_argument("dataset")
@@ -87,14 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-support", type=int, default=1)
     p.add_argument("--filter-redundant", action="store_true")
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
+    p.set_defaults(run=_cmd_mine_apriori)
 
     p = sub.add_parser("sweep", help="compare both miners across thresholds")
     p.add_argument("dataset")
     p.add_argument("--thresholds", nargs="+", default=None)
     p.add_argument("--min-support", type=int, default=1)
     p.add_argument("--json", default=None, help="also write a JSON twin of the report")
+    p.set_defaults(run=_cmd_sweep)
 
-    sub.add_parser("selftest", help="run the built-in fixture checks")
+    p = sub.add_parser("selftest", help="run the built-in fixture checks")
+    p.set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -168,7 +173,7 @@ def _read_spec(path: str):
             weight = float(weight)
         except (TypeError, ValueError):
             raise ConfigError("%s weight must be a number, got %r" % (where, weight)) from None
-        planted.append(PlantedRuleSpec(
+        planted.append(synth.PlantedRuleSpec(
             antecedent=tuple(sorted(antecedent.items())),
             consequent=consequent,
             target_confidence=harness.parse_threshold(str(_spec_key(r, "confidence", where))),
@@ -187,9 +192,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    mapping = ColumnMapping.from_file(args.mapping)
-    seg = SegmentationConfig(mode=args.seg_mode, bucket_hours=args.bucket_hours)
-    ds, summary = load_log(args.log, mapping, seg, strict=args.strict)
+    mapping = ingest.ColumnMapping.from_file(args.mapping)
+    seg = ingest.SegmentationConfig(mode=args.seg_mode, bucket_hours=args.bucket_hours)
+    ds, summary = ingest.load_log(args.log, mapping, seg, strict=args.strict)
     _write(args.out, serialize.dataset_to_csv(ds))
     sys.stderr.write(str(summary) + "\n")
     return 0
@@ -305,31 +310,11 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "ingest": _cmd_ingest,
-    "rank": _cmd_rank,
-    "mine-agt": _cmd_mine_agt,
-    "mine-apriori": _cmd_mine_apriori,
-    "sweep": _cmd_sweep,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (
-        ConfigError,
-        IngestError,
-        SchemaViolation,
-        GenerationError,
-        EmptyDatasetError,
-        OSError,
-        UnicodeDecodeError,
-        csv.Error,
-    ) as exc:
+        return args.run(args)
+    except (InputError, OSError, UnicodeDecodeError, csv.Error) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except AssertionError as exc:

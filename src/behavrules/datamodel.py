@@ -35,15 +35,19 @@ from itertools import groupby
 from typing import Callable, Iterable, Optional
 
 
-class SchemaViolation(ValueError):
+class InputError(ValueError):
+    """Input the program refuses; the command line exits 1 with its message."""
+
+
+class SchemaViolation(InputError):
     """Raised when data does not conform to its declared schema."""
 
 
-class EmptyDatasetError(ValueError):
+class EmptyDatasetError(InputError):
     """Raised by operations that require at least one instance."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Raised for invalid configuration (bad attributes, thresholds, ...)."""
 
 

@@ -3,9 +3,10 @@
 A sweep refuses bad input before it mines anything. Each rule either miner
 emits is emitted on one threshold interval, so a sweep mines once and
 counts, per threshold, the intervals that hold it, testing each distinct
-interval's ends once with datamodel.confidence_test. A miner's error, such
-as apriori.MAX_ITEMSETS or a schema with no context attributes, fills
-every row.
+interval's ends once with datamodel.confidence_test. Only a miner's
+refusal, an InputError such as the apriori.MAX_ITEMSETS bound, a schema
+with no context attributes or an empty dataset, fills every row; any
+other error is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import agt, apriori
-from .datamodel import ConfigError, Dataset, confidence_test
+from .datamodel import ConfigError, Dataset, InputError, confidence_test
 
 DEFAULT_THRESHOLDS = tuple(
     Fraction(p, 100) for p in (100, 95, 90, 85, 80, 75, 70, 65, 60)
@@ -69,7 +70,7 @@ class SweepRow:
     apriori_rules: Optional[int]
     agt_rules: Optional[int]
     apriori_redundancy_ratio: Optional[Fraction]
-    # a miner's error, which fills every row of the sweep and leaves the counts None
+    # a miner's refusal (an InputError), which fills every row and leaves the counts None
     error: Optional[str] = None
 
 
@@ -112,7 +113,7 @@ def sweep(
             (s or (0, 1), (r.support, r.coverage)) for r, s in zip(cars, apriori.shadows(cars)))
         del cars  # only integer pairs are held while the tree grows
         tree = Counter(agt.rule_intervals(agt.build_tree(ds, configs[0]), min_support))
-    except (ValueError, ArithmeticError) as exc:
+    except InputError as exc:
         rows = [SweepRow(t, None, None, None, error=str(exc)) for t in thresholds]
     else:
         rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from .datamodel import ConfigError, ContextSchema, Dataset
+from .datamodel import ConfigError, ContextSchema, Dataset, InputError
 
 ACCEPT = "Accept"
 REJECT = "Reject"
@@ -39,7 +39,7 @@ DAY_NAMES = (
 DAY_MINUTES = 24 * 60
 
 
-class IngestError(ValueError):
+class IngestError(InputError):
     """Raised for unreadable rows in strict mode and bad call types."""
 
 
@@ -291,7 +291,6 @@ def load_log(
             for row in reader:
                 if not row:  # blank line
                     continue
-                summary.rows_read += 1
                 try:
                     if len(row) < width:
                         raise IngestError("row has fewer cells than the header")
@@ -301,7 +300,7 @@ def load_log(
                     if behavior is None:
                         behavior = derive_behavior(call[0], int(call[1].strip()))
                         behavior_of[call] = behavior
-                except (ValueError, IngestError) as exc:
+                except ValueError as exc:
                     reason = "line %d: %s" % (reader.line_num, exc)
                     if strict:
                         raise IngestError(reason) from exc
@@ -330,6 +329,7 @@ def load_log(
     schema = ContextSchema.create(zip(attr_names, domains), behavior_of.values())
     ds = Dataset.from_columns(schema, columns, behaviors)
     summary.loaded = len(ds)
+    summary.rows_read = summary.loaded + summary.skipped
     summary.unsegmented = times.count(UNSEGMENTED)
     summary.cardinalities = {name: len(d) for name, d in zip(attr_names, domains)}
     return ds, summary

@@ -22,7 +22,7 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable
 
-from .datamodel import Condition, ContextSchema, Dataset
+from .datamodel import Condition, ContextSchema, Dataset, InputError
 from .ingest import (
     ACCEPT,
     BEHAVIOR_CLASSES,
@@ -37,7 +37,7 @@ from .serialize import _csv_lines
 CONFIDENCE_SLACK = Fraction(2, 100)
 
 
-class GenerationError(ValueError):
+class GenerationError(InputError):
     """Raised when the requested quotas cannot be realized."""
 
 

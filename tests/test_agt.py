@@ -228,19 +228,18 @@ class TestProperties:
         assert friend.split_attribute == "Activity"
 
     def test_global_ranking_splits_the_root_once_per_attribute(self, monkeypatch):
-        from behavrules import agt, precedence
+        from behavrules import precedence
 
         ds = demo_dataset()
         groups = distinct_row_ids(ds)
         sizes = []
-        for module in (agt, precedence):
 
-            def counted(ds, rows, counts, attr, split=module.split):
-                # the dataset rows that the distinct-row ids stand for
-                sizes.append(sum(len(groups[d]) for d in rows))
-                return split(ds, rows, counts, attr)
+        def counted(ds, rows, counts, attr, split=precedence.split):
+            # the dataset rows that the distinct-row ids stand for
+            sizes.append(sum(len(groups[d]) for d in rows))
+            return split(ds, rows, counts, attr)
 
-            monkeypatch.setattr(module, "split", counted)
+        monkeypatch.setattr(precedence, "split", counted)
         build_tree(ds, MiningConfig(Fraction(3, 4), global_ranking=True))
         # the ranking's own splits of the root; no child holds every row
         assert sizes.count(len(ds)) == len(ds.schema.attribute_names)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from behavrules import serialize
 from behavrules.agt import MiningConfig, tree_to_dot
 from behavrules.cli import main
+from behavrules.datamodel import ConfigError, EmptyDatasetError, SchemaViolation
 from behavrules.fixtures import demo_dataset, sample_rule_dataset
-from behavrules.ingest import ColumnMapping, load_log
+from behavrules.ingest import ColumnMapping, IngestError, load_log
+from behavrules.synth import GenerationError
 
 from oracles import reference_tree
 
@@ -137,17 +139,16 @@ class TestMining:
         assert dot.read_text().count(" -> ") == 300
 
     def test_a_chain_of_lone_children_splits_each_attribute_once(self, tmp_path, monkeypatch):
-        from behavrules import agt, precedence
+        from behavrules import precedence
 
         path = _constant_columns(tmp_path, 300, "ABAB")
         calls = []
-        for module in (agt, precedence):
 
-            def counted(ds, rows, counts, attr, split=module.split):
-                calls.append(attr)
-                return split(ds, rows, counts, attr)
+        def counted(ds, rows, counts, attr, split=precedence.split):
+            calls.append(attr)
+            return split(ds, rows, counts, attr)
 
-            monkeypatch.setattr(module, "split", counted)
+        monkeypatch.setattr(precedence, "split", counted)
         dot = tmp_path / "tree.dot"
         assert main(["mine-agt", str(path), "--min-conf", "50", "--dot", str(dot)]) == 0
         # a lone child holds its parent's rows and ranks the parent's other
@@ -526,9 +527,24 @@ class TestInputErrors:
         def broken(args):
             raise KeyError("internal")
 
-        monkeypatch.setitem(cli._COMMANDS, "selftest", broken)
+        monkeypatch.setattr(cli, "_cmd_selftest", broken)
         with pytest.raises(KeyError):
             main(["selftest"])
+
+    @pytest.mark.parametrize(
+        "refusal",
+        [ConfigError, EmptyDatasetError, SchemaViolation, IngestError, GenerationError],
+    )
+    def test_every_refusal_exits_1_with_one_line(self, monkeypatch, capsys, refusal):
+        from behavrules import cli
+
+        def refuses(args):
+            raise refusal("refused")
+
+        monkeypatch.setattr(cli, "_cmd_selftest", refuses)
+        assert main(["selftest"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: refused\n")
 
     def test_gen_to_stdout_matches_the_written_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -114,7 +114,6 @@ def test_every_split_counts_classes_in_label_order(monkeypatch, global_ranking):
         return result
 
     monkeypatch.setattr(precedence, "split", recording)
-    monkeypatch.setattr(agt, "split", recording)
     for ds in _datasets(53, 40):
         agt.build_tree(ds, agt.MiningConfig(Fraction(1), global_ranking=global_ranking))
     groups = {}
@@ -423,6 +422,21 @@ def test_sweep_matches_one_run_per_threshold(case, decreasing, min_support):
     assert extract.call_count == 0
     if any(row.error is None for row in report.rows):
         assert build.call_count == 1
+
+
+@SETTINGS
+@given(ds=st.one_of(datasets(), duplicate_heavy_datasets()), min_support=st.integers(1, 3))
+def test_rule_intervals_hold_each_threshold_the_extracted_rules_meet(ds, min_support):
+    # one tree, grown once, is extracted at every probe
+    root = agt.build_tree(ds, agt.MiningConfig(Fraction(1)))
+    intervals = [
+        (Fraction(*lo), Fraction(*hi)) for lo, hi in agt.rule_intervals(root, min_support)
+    ]
+    ends = sorted({end for interval in intervals for end in interval if end})
+    between = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for t in ends + between:
+        held = sum(1 for lo, hi in intervals if lo < t <= hi)
+        assert held == len(agt.extract_rules(root, agt.MiningConfig(t, min_support)))
 
 
 @SETTINGS

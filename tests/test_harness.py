@@ -114,6 +114,18 @@ class TestSweep:
             sweep(demo_dataset(), sorted([Fraction(1, 2), bad], reverse=True))
         assert (mine.call_count, grow.call_count) == (0, 0)
 
+    def test_a_miner_defect_propagates(self):
+        # only a refusal fills the rows; anything else a miner raises is a defect
+        with mock.patch.object(apriori, "mine_frequent", side_effect=ValueError("defect")), \
+                pytest.raises(ValueError, match="^defect$"):
+            sweep(demo_dataset(), [Fraction(1), Fraction(3, 4)])
+
+    def test_a_miner_refusal_fills_every_row(self):
+        with mock.patch.object(apriori, "mine_frequent", side_effect=ConfigError("refused")):
+            report = sweep(demo_dataset(), [Fraction(1), Fraction(3, 4)])
+        assert [(row.apriori_rules, row.agt_rules, row.error) for row in report.rows] == \
+            [(None, None, "refused")] * 2
+
     def test_rows_match_independent_runs(self):
         ds = demo_dataset()
         report = sweep(ds, list(DEFAULT_THRESHOLDS))
