@@ -126,7 +126,7 @@ def _read_spec(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
             raise ConfigError(str(exc)) from None
     if not isinstance(spec, dict):
         raise ConfigError("spec %s is not a JSON object" % path)
@@ -171,7 +171,7 @@ def _read_spec(path: str):
             if isinstance(weight, bool):  # float() would read true as 1.0
                 raise TypeError
             weight = float(weight)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("%s weight must be a number, got %r" % (where, weight)) from None
         planted.append(synth.PlantedRuleSpec(
             antecedent=tuple(sorted(antecedent.items())),

@@ -12,12 +12,12 @@ missing views are derived and cached on first use: `columns` and
 `behaviors` from the ids, the distinct rows' columns and counts from the
 columns, and `distinct` (the rows with their counts) from those. So are
 `instances`, one Instance per row (its values are a plain dict, which
-callers must not mutate); and `codes`, each distinct row's value index
-and value-by-class code per attribute, which both miners tally weighted
-by the counts and partition by value (see RowCodes). The caches never
-change what a public method returns. The row layer (Instance,
-`instances`, Dataset(schema, instances), create, subset) serves only
-the tests and the benchmark.
+callers must not mutate); and `codes`, per attribute each distinct row's
+value index and its code, value index × len(labels) + class index, which
+both miners tally weighted by the counts and partition by value (see
+RowCodes). The caches never change what a public method returns. The row
+layer (Instance, `instances`, Dataset(schema, instances), create,
+subset) serves only the tests and the benchmark.
 Confidence values are exact rationals (support / coverage), and every
 threshold is applied by confidence_test's integer cross-multiplication,
 so comparisons like ">= 80%" never suffer float rounding.
@@ -148,8 +148,9 @@ class RowCodes:
     dataset rows equal to distinct row d. values[attr][d] is the index of
     row d's value in attr's domain, and value_class[attr][d] is
     values[attr][d] * len(labels) + the index of row d's class in labels,
-    so one pass over the value_class codes weighted by counts counts rows
-    by value and class at once. Only tally reads value_class.
+    computed from row d alone, so encoding never costs domain × classes, and
+    one pass over the value_class codes weighted by counts counts rows by
+    value and class at once. Only tally reads value_class.
     """
 
     labels: tuple[str, ...]  # behavior classes, sorted
@@ -163,16 +164,12 @@ class RowCodes:
         and their counts."""
         labels = tuple(sorted(schema.behavior_classes))
         *columns, behaviors = columns
+        k = len(labels)
+        classes = list(map({label: b for b, label in enumerate(labels)}.__getitem__, behaviors))
         values, value_class = {}, {}
         for (name, domain), column in zip(schema.attributes, columns):
-            index = {val: v for v, val in enumerate(domain)}
-            # looked up rather than computed per row, so rows share each code's int
-            code = {
-                (val, label): v * len(labels) + b
-                for val, v in index.items() for b, label in enumerate(labels)
-            }
-            values[name] = list(map(index.__getitem__, column))
-            value_class[name] = list(map(code.__getitem__, zip(column, behaviors)))
+            values[name] = list(map({val: v for v, val in enumerate(domain)}.__getitem__, column))
+            value_class[name] = [v * k + b for v, b in zip(values[name], classes)]
         return cls(labels, values, value_class, list(counts))
 
     def tally(self, attr: str, rows: Iterable[int]) -> list[tuple[int, tuple[int, ...]]]:

@@ -159,7 +159,7 @@ class ColumnMapping:
         if text.lstrip().startswith("{"):
             try:
                 raw = json.loads(text)
-            except ValueError as exc:  # bad JSON, or an integer past the digit limit
+            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
                 raise ConfigError(str(exc)) from None
         else:
             raw = {}

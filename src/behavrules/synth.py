@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,8 @@ def generate(
     specs = list(specs)
     if n < 1:
         raise GenerationError("n must be >= 1, got %d" % n)
+    if n > sys.maxsize:  # round(weight * n) or islice would raise past it
+        raise GenerationError("n must be <= %d" % sys.maxsize)
     for spec in specs:
         for attr, val in spec.antecedent:
             if val not in schema.domain(attr):

@@ -20,6 +20,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from contextlib import nullcontext
 from datetime import datetime
 from fractions import Fraction
@@ -594,6 +595,8 @@ def reference_generate(
     specs = list(specs)
     if n < 1:
         raise GenerationError("n must be >= 1, got %d" % n)
+    if n > sys.maxsize:
+        raise GenerationError("n must be <= %d" % sys.maxsize)
     for spec in specs:
         for attr, val in spec.antecedent:
             if val not in schema.domain(attr):

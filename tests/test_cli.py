@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -178,6 +180,42 @@ class TestMining:
         assert main(["sweep", str(path), "--thresholds", "90", "70"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
             "0.9,,,  # %s" % reason, "0.7,,,  # %s" % reason]
+
+    # stdout's sha256 of each command on the many-class file, recorded without a memory limit
+    MANY_CLASS_DIGESTS = {
+        "rank": "e4a511b48e845d8224eda72dabb3a9f16ff9ded8d69b4891cbc802fcc6b46b10",
+        "mine-agt": "1dfb8042ed12c5d36c0e80572423dedf943d6d45728b5a3e94654c23d982d0ea",
+        "mine-apriori": "851be2e0b6375d6a44983d1435a3e834905d8fed2e6b30e80b5498d7dc0b7779",
+        "sweep": "fb015eb3a885cfd6fa10f3830aeaac1b3f274c6ae0d3f38b8956b533be35fd42",
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank"], ["mine-agt", "--min-conf", "80"],
+         ["mine-apriori", "--min-conf", "80", "--filter-redundant"], ["sweep"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_class_per_row_mines_in_256_mib(self, tmp_path, argv):
+        # 2,000 values × 2,000 classes: a cost sized by domain × classes exceeds the limit
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        rng = random.Random(5)
+        path = tmp_path / "many-classes.csv"
+        path.write_text("A,B,behavior\n" + "".join(
+            "a%d,b%d,c%d\n" % (i, rng.randrange(7), i) for i in range(2000)))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "behavrules", argv[0], str(path), *argv[1:]],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.MANY_CLASS_DIGESTS[argv[0]]
 
     def test_a_tree_that_cannot_grow_fills_every_sweep_row(self, tmp_path, capsys):
         path, report = tmp_path / "classes.csv", tmp_path / "r.json"
@@ -414,6 +452,40 @@ class TestInputErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(4300 digits)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--spec", "--mapping"])
+    def test_deeply_nested_json_exits_1_with_one_line(self, inputs, tmp_path, capsys, option):
+        path = tmp_path / "nested.json"
+        # past the json decoder's recursion limit; a mapping is read as JSON only after "{"
+        path.write_text(("" if option == "--spec" else '{"x": ') + "[" * 200_000)
+        if option == "--spec":
+            argv = ["gen", "--spec", str(path)]
+        else:
+            argv = ["ingest", inputs["log"], "--mapping", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec,argv",
+        [
+            (dict(GEN_SPEC, rules=[dict(GEN_SPEC["rules"][0], weight=10**400)]), []),
+            (GEN_SPEC, ["--n", str(10**309)]),
+            (dict(GEN_SPEC, rules=[]), ["--n", str(sys.maxsize + 1)]),
+        ],
+        ids=["weight-past-float", "n-past-float", "n-past-index"],
+    )
+    def test_a_number_past_float_or_index_range_exits_1_with_one_line(
+        self, tmp_path, capsys, spec, argv
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["gen", "--spec", str(path), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
