@@ -3,12 +3,16 @@
 The tree is grown top-down. Each node carries the dominant behavior class
 of its instance subset and an exact-rational confidence. A node's subset
 is a list of ascending distinct-row ids, each standing for as many rows
-as its multiplicity (see Dataset.codes): precedence.split tallies it
-once per remaining attribute, a node's size is the sum of its class
-counts (by sorted label), and only the chosen attribute's rows are
-partitioned into the children's lists (see RowCodes.partition), unless
-no attribute is left to split the children. A lone child holds its
-parent's rows, so it ranks the other splits instead of tallying again.
+as its multiplicity (see Dataset.codes), and its size is the sum of its
+class counts (by sorted label). Gains are computed only where a node has
+a choice: precedence.split tallies it once per remaining attribute when
+two or more are left, under global ranking at the root alone; elsewhere
+one precedence.child_counts tallies the attribute it splits on. Only the
+chosen attribute's rows are partitioned into the children's lists (see
+RowCodes.partition); children with no attribute left are made as leaves
+in place at their parent, and their rows are never listed. A lone child
+holds its parent's rows, so it takes the other splits instead of
+tallying again.
 Growth reads no confidence threshold: a node is a leaf when it is pure
 or its contexts are exhausted, and build_tree leaves every node
 unmarked. A child whose dominant class equals its parent's is REDUNDANT
@@ -85,11 +89,23 @@ class AgtNode:
             stack += node.children[::-1]
 
 
+def _node(node_id: int, branch: Optional[Condition], labels, counts) -> AgtNode:
+    """A new unmarked node of rows whose class counts, in labels order, are counts."""
+    support = max(counts)  # in labels order, a tie for the largest goes to the lowest label
+    return AgtNode(node_id, branch, labels[counts.index(support)], support, sum(counts))
+
+
 def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
     """Grow the tree over ds, ranked as cfg.global_ranking says; node ids follow preorder.
 
-    Growth reads no threshold, so every node comes back unmarked
-    (redundant False); extract_rules marks the tree for a config.
+    Gains are computed only where a node has attributes to choose from:
+    at every node with two or more left under per-node ranking, and at
+    the root alone under global ranking. Elsewhere the children's counts
+    come from one precedence.child_counts, or from the split a lone
+    child's parent made over the same rows. Children with no attribute
+    left are made as leaves at their parent. Growth reads no threshold,
+    so every node comes back unmarked (redundant False); extract_rules
+    marks the tree for a config.
     """
     if len(ds) == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
@@ -102,42 +118,44 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
     next_id = 1
     top: list[AgtNode] = []
 
-    # nodes to make; children go on last first, so ids follow preorder
+    # nodes to make, each with an attribute left: its rows and their class counts,
+    # its branch, its attributes in ranking order, their splits over its rows if its
+    # parent made them, and its siblings; children go on last first, so ids follow preorder
     stack = [(*precedence.all_rows(ds), None, contexts, None, top)]
     while stack:
         rows, counts, branch, remaining, splits, siblings = stack.pop()
-        # counts are in labels order, so a tie for the largest goes to the lowest label
-        support = max(counts)
-        node = AgtNode(next_id, branch, labels[counts.index(support)], support, sum(counts))
+        node = _node(next_id, branch, labels, counts)
         next_id += 1
         siblings.append(node)
+        if node.support == node.size:
+            continue  # pure node: leaf
 
-        if node.support == node.size or not remaining:
-            continue  # pure node or exhausted contexts: leaf
-
-        if global_ranking and branch is not None:
-            # below the root, remaining is in the root's ranking order
-            best = precedence.split(ds, rows, counts, remaining[0])
-            rest = remaining[1:]
-        else:
+        if len(remaining) > 1 and (branch is None or not global_ranking):
             if splits is None:  # in remaining order, as rank_splits needs
                 splits = [precedence.split(ds, rows, counts, a) for a in remaining]
-            ranked = precedence.rank_splits(splits)
-            best = ranked[0]
-            if global_ranking:
-                rest = [s.attr for s in ranked[1:]]
+            best, *others = precedence.rank_splits(splits)
+            if not global_ranking:  # the rest keep remaining order, as rank_splits needs
+                others = [s for s in splits if s is not best]
+            attr, children = best.attr, best.children
+            rest = [s.attr for s in others]
+        else:  # one attribute left, or below the root under global ranking: no choice
+            attr, rest = remaining[0], remaining[1:]
+            if splits is not None:
+                children, others = splits[0].children, splits[1:]
             else:
-                rest = [a for a in remaining if a != best.attr]
-            # a lone child holds this node's rows, so it ranks the other splits
-            lone = len(best.children) == 1 and not global_ranking
-            splits = [s for s in splits if s is not best] if lone else None
-        node.split_attribute = best.attr
-        if rest:
-            groups = ds.codes.partition(best.attr, rows)  # the children's order
+                children, others = precedence.child_counts(ds, rows, attr), None
+        node.split_attribute = attr
+        if not rest:  # contexts exhausted: the children are leaves, next in preorder
+            for val, sub in children:
+                node.children.append(_node(next_id, (attr, val), labels, sub))
+                next_id += 1
+        elif len(children) == 1:  # a lone child holds these rows, so it takes these splits
+            [(val, sub)] = children
+            stack.append((rows, sub, (attr, val), rest, others, node.children))
         else:
-            groups = [None] * len(best.children)  # leaves: their rows are never read
-        for (val, sub), group in zip(reversed(best.children), reversed(groups)):
-            stack.append((group, sub, (best.attr, val), rest, splits, node.children))
+            groups = ds.codes.partition(attr, rows)  # the children's order
+            for (val, sub), group in zip(reversed(children), reversed(groups)):
+                stack.append((group, sub, (attr, val), rest, None, node.children))
     return top[0]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -312,14 +313,28 @@ def _cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Commands build large long-lived containers (distinct rows, tree nodes,
+    # itemsets) and create no reference cycles, so the cycle collector would
+    # only rescan them as they grow; reference counting frees what they drop.
+    # The parser's own cycles are young, and one young collection frees them.
+    collecting = gc.isenabled()
+    gc.collect(1)
+    gc.disable()
     try:
         return args.run(args)
     except (InputError, OSError, UnicodeDecodeError, csv.Error) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
+        message = str(exc)
+    except MemoryError:
+        # written after the handler, once the frames holding the memory are freed
+        message = "out of memory"
     except AssertionError as exc:
         sys.stderr.write("invariant violation: %s\n" % exc)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
+    sys.stderr.write("error: %s\n" % message)
+    return 1
 
 
 if __name__ == "__main__":

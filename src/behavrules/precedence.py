@@ -7,8 +7,11 @@ reproducible. An entropy is an exactly rounded sum (math.fsum), so a
 gain is one float in any class order. A node's rows are a list of
 ascending distinct-row ids (see Dataset.codes), and one RowCodes.tally
 of them, each weighted by its count, gives the class counts of every
-child of a split, so the tree can rank the rows of any node without
-building a sub-dataset. Apriori counts its itemsets with the same tally."""
+child of a split (child_counts), so the tree can rank the rows of any
+node without building a sub-dataset. The tree calls split, which
+computes the gain, only at nodes with attributes to choose from, and
+child_counts alone elsewhere; rank_contexts and information_gain
+compute every gain. Apriori counts its itemsets with the same tally."""
 
 from __future__ import annotations
 
@@ -52,24 +55,33 @@ def all_rows(ds: Dataset) -> tuple[range, tuple[int, ...]]:
     return range(len(ds.codes.counts)), tuple(counts.get(c, 0) for c in ds.codes.labels)
 
 
+def child_counts(ds: Dataset, rows: Iterable[int], attr: str) -> list[tuple[str, tuple[int, ...]]]:
+    """(value, class counts in labels order) of each value of attr among rows,
+    ascending distinct-row ids of ds (see Dataset.codes), in domain order.
+
+    One RowCodes.tally gives them all; this is the list split puts in
+    Split.children, for a node that has no attributes to rank.
+    """
+    domain = ds.schema.domain(attr)  # also rejects an unknown attribute
+    return [(domain[v], child) for v, child in ds.codes.tally(attr, rows)]
+
+
 def split(ds: Dataset, rows: Sequence[int], counts: Sequence[int], attr: str) -> Split:
     """Partition rows, ascending distinct-row ids of ds (see Dataset.codes), by attr.
 
     counts are the class counts, in labels order, of the dataset rows that
-    rows stand for. One RowCodes.tally gives every child's class counts in
-    the same order. Children are summed in domain order, so the gain is
-    the same float however the rows are counted.
+    rows stand for, and child_counts gives every child's. Children are
+    summed in domain order, so the gain is the same float however the rows
+    are counted.
     """
-    domain = ds.schema.domain(attr)  # also rejects an unknown attribute
+    children = child_counts(ds, rows, attr)
     n = sum(counts)
     if n == 0:
-        return Split(attr, 0.0, [])
-    children = []
+        return Split(attr, 0.0, children)
     split_entropy = 0.0
-    for v, child in ds.codes.tally(attr, rows):
+    for _, child in children:
         size = sum(child)
         split_entropy += (size / n) * _entropy(child, size)
-        children.append((domain[v], child))
     gain = _entropy(counts, n) - split_entropy
     # numeric noise can push a zero gain slightly negative
     return Split(attr, max(gain, 0.0), children)

@@ -299,7 +299,8 @@ def distinct_row_ids(ds):
     """The dataset row ids of each distinct (values, behavior) row of ds.
 
     Distinct rows come in order of first occurrence, the order of the
-    distinct-row ids that tree growth hands to precedence.split.
+    distinct-row ids that tree growth hands to precedence.split and
+    precedence.child_counts.
     """
     names = ds.schema.attribute_names
     groups = {}

@@ -29,7 +29,7 @@ from behavrules.datamodel import (
 )
 from behavrules.fixtures import demo_dataset, demo_schema
 
-from oracles import distinct_row_ids, example_tree, random_dataset, rule_keys
+from oracles import distinct_row_ids, example_tree, random_dataset, reference_tree, rule_keys
 
 T75 = MiningConfig(Fraction(3, 4))
 T100 = MiningConfig(Fraction(1))
@@ -243,6 +243,53 @@ class TestProperties:
         build_tree(ds, MiningConfig(Fraction(3, 4), global_ranking=True))
         # the ranking's own splits of the root; no child holds every row
         assert sizes.count(len(ds)) == len(ds.schema.attribute_names)
+
+    @staticmethod
+    def _entropy_sizes(monkeypatch):
+        """The n of every precedence._entropy call from now on."""
+        from behavrules import precedence
+
+        sizes = []
+
+        def counted(counts, n, entropy=precedence._entropy):
+            sizes.append(n)
+            return entropy(counts, n)
+
+        monkeypatch.setattr(precedence, "_entropy", counted)
+        return sizes
+
+    def test_one_attribute_grows_without_an_entropy(self, monkeypatch):
+        # no node has two attributes to choose from, so no gain is compared
+        rng = random.Random(61)
+        datasets = [random_dataset(rng, 1, 6, 200) for _ in range(20)]
+        expected = [tree_to_dot(reference_tree(ds, T75)) for ds in datasets]
+        sizes = self._entropy_sizes(monkeypatch)
+        roots = [build_tree(ds, T75) for ds in datasets]
+        assert sizes == []
+        assert sum(len(root.children) for root in roots) > 0
+        for root in roots:
+            extract_rules(root, T75)  # marks the tree as reference_tree does
+        assert [tree_to_dot(root) for root in roots] == expected
+
+    def test_global_ranking_computes_entropies_at_the_root_alone(self, monkeypatch):
+        from behavrules import precedence
+
+        cfg = MiningConfig(Fraction(3, 4), global_ranking=True)
+        rng = random.Random(67)
+        datasets = [random_dataset(rng, 4, 4, 200) for _ in range(30)]
+        # the root ranks only where it has two attributes or more
+        datasets = [ds for ds in datasets if len(ds.schema.attribute_names) > 1]
+        expected = [tree_to_dot(reference_tree(ds, cfg)) for ds in datasets]
+        sizes = self._entropy_sizes(monkeypatch)
+        for ds, dot in zip(datasets, expected):
+            precedence.rank_contexts(ds, list(ds.schema.attribute_names))
+            at_root = sizes[:]
+            sizes.clear()
+            root = build_tree(ds, cfg)
+            assert sizes == at_root
+            sizes.clear()
+            extract_rules(root, cfg)
+            assert tree_to_dot(root) == dot
 
     def test_strict_redundancy_checks_nearest_qualifying_ancestor(self):
         # grandparent and grandchild agree at threshold, parent dips below

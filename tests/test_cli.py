@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -486,6 +487,27 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path):
+        # a rule-free spec draws every row; sys.maxsize of them cannot fit in 128 MiB
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS") or not sys.platform.startswith("linux"):
+            # where the limit is not enforced, the run would fill the machine's memory
+            pytest.skip("no enforced RLIMIT_AS on this platform")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(GEN_SPEC, rules=[])))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "behavrules", "gen", "--spec", str(path),
+             "--n", str(sys.maxsize)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -1068,3 +1090,67 @@ class TestOutputDir:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 2] No such file or directory")
         assert err.count("\n") == 1
+
+
+class TestCycleCollector:
+    @pytest.mark.parametrize("outcome", ["returns 0", "exits 1", "raises"])
+    def test_main_restores_the_collector_state_it_found(
+        self, demo_csv, monkeypatch, capsys, outcome
+    ):
+        from behavrules import precedence
+
+        seen = []
+
+        def rank(ds, candidates, real=precedence.rank_contexts):
+            seen.append(gc.isenabled())
+            if outcome == "exits 1":
+                raise ConfigError("refused")
+            if outcome == "raises":
+                raise RuntimeError("a defect")
+            return real(ds, candidates)
+
+        monkeypatch.setattr(precedence, "rank_contexts", rank)
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                if outcome == "raises":
+                    with pytest.raises(RuntimeError):
+                        main(["rank", demo_csv])
+                else:
+                    assert main(["rank", demo_csv]) == (0 if outcome == "returns 0" else 1)
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert seen == [False, False]  # paused while the command runs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mine-agt", "--min-conf", "80"],
+         ["mine-apriori", "--min-conf", "80", "--filter-redundant"], ["sweep"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_leaves_no_cyclic_garbage_that_grows_with_its_input(
+        self, tmp_path, capsys, argv
+    ):
+        rng = random.Random(11)
+
+        def cyclic_garbage(n):
+            """The objects gc.collect() finds after the command on n random rows."""
+            path = tmp_path / ("rows-%d.csv" % n)
+            path.write_text("A,B,C,D,behavior\n" + "".join(
+                "a%d,b%d,c%d,d%d,%s\n" % (
+                    rng.randrange(3), rng.randrange(4), rng.randrange(5), rng.randrange(6),
+                    rng.choice("XYZ"))
+                for _ in range(n)))
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([argv[0], str(path), *argv[1:]]) == 0
+                return gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+        assert cyclic_garbage(500) == cyclic_garbage(4000)

@@ -105,37 +105,47 @@ def _label_counts(labels, behaviors):
 
 @pytest.mark.parametrize("global_ranking", [False, True])
 def test_every_split_counts_classes_in_label_order(monkeypatch, global_ranking):
+    # (dataset, distinct-row ids, class counts or None, attribute, children) of every
+    # split and of every child_counts, which growth calls where it ranks nothing
     calls = []
-    real = precedence.split
+    real_split, real_child_counts = precedence.split, precedence.child_counts
 
-    def recording(ds, rows, counts, attr):
-        result = real(ds, rows, counts, attr)
-        calls.append((ds, list(rows), counts, result))
+    def recording_split(ds, rows, counts, attr):
+        result = real_split(ds, rows, counts, attr)
+        calls.append((ds, list(rows), counts, result.attr, result.children))
         return result
 
-    monkeypatch.setattr(precedence, "split", recording)
+    def recording_child_counts(ds, rows, attr):
+        result = real_child_counts(ds, rows, attr)
+        calls.append((ds, list(rows), None, attr, result))
+        return result
+
+    monkeypatch.setattr(precedence, "split", recording_split)
+    monkeypatch.setattr(precedence, "child_counts", recording_child_counts)
     for ds in _datasets(53, 40):
         agt.build_tree(ds, agt.MiningConfig(Fraction(1), global_ranking=global_ranking))
+    assert any(counts is not None for _, _, counts, _, _ in calls)
     groups = {}
-    for ds, ids, _, _ in calls:
+    for ds, ids, _, _, _ in calls:
         assert len(set(ids)) == len(ids)
         if id(ds) not in groups:
             groups[id(ds)] = distinct_row_ids(ds)
     # the dataset rows that each call's distinct-row ids stand for
     calls = [
-        (ds, sorted(i for d in ids for i in groups[id(ds)][d]), counts, result)
-        for ds, ids, counts, result in calls
+        (ds, sorted(i for d in ids for i in groups[id(ds)][d]), counts, attr, children)
+        for ds, ids, counts, attr, children in calls
     ]
-    assert any(len(rows) < len(ds) for ds, rows, _, _ in calls)  # below the root too
-    for ds, rows, counts, result in calls:
+    assert any(len(rows) < len(ds) for ds, rows, _, _, _ in calls)  # below the root too
+    for ds, rows, counts, attr, children in calls:
         labels = sorted(ds.schema.behavior_classes)
         node = [ds.instances[i] for i in rows]  # the node's instances
-        assert tuple(counts) == _label_counts(labels, (i.behavior for i in node))
-        present = {i.values[result.attr] for i in node}
-        domain = ds.schema.domain(result.attr)
-        assert [val for val, _ in result.children] == [v for v in domain if v in present]
-        for val, child in result.children:
-            scanned = (i.behavior for i in node if i.values[result.attr] == val)
+        if counts is not None:
+            assert tuple(counts) == _label_counts(labels, (i.behavior for i in node))
+        present = {i.values[attr] for i in node}
+        domain = ds.schema.domain(attr)
+        assert [val for val, _ in children] == [v for v in domain if v in present]
+        for val, child in children:
+            scanned = (i.behavior for i in node if i.values[attr] == val)
             assert child == _label_counts(labels, scanned)
 
 
