@@ -7,9 +7,13 @@ timestamps are replaced by nominal time-segment labels such as
 
 load_log decodes each distinct cell once: each distinct (call-type cell,
 duration cell) pair is mapped to its behavior once, and each context
-column maps each distinct raw cell to its value once. Timestamps are
-parsed on every row: a real log at one-second resolution holds few
-repeated timestamps, so a memo of them would only grow.
+column maps each distinct raw cell to its value once. A timestamp is
+decoded from its parts: each distinct calendar date is parsed once and
+memoised by its "YYYY-MM-DD" text, and the clock is read from fixed
+tables of the 1,440 "HH:MM" and 60 "SS" texts. Whole timestamps are not
+memoised: a real log at one-second resolution seldom repeats an instant,
+so such a memo would only grow, while its dates recur on every row of a
+day.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from typing import Optional
 
 from .datamodel import ConfigError, ContextSchema, Dataset, InputError
@@ -242,6 +246,9 @@ def parse_timestamp(text: str) -> datetime:
     return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a canonical timestamp's first 10 characters
+
+
 def load_log(
     path: str,
     mapping: ColumnMapping,
@@ -262,9 +269,18 @@ def load_log(
     by the raw cell. A pair that fails is never stored, so every row that
     holds it is refused with its own line. A context domain is its memo's
     values, which keep first-observation order; the class set is the
-    behavior memo's values. Timestamps are parsed per row by
-    parse_timestamp and not memoised, since distinct instants are the
-    rule in a real log.
+    behavior memo's values, so the dataset is built without from_columns'
+    domain check, which could not fail.
+
+    A canonical timestamp cell, "YYYY-MM-DD HH:MM:SS" with nothing around
+    it and a real date and time, is decoded from its parts: the minute of
+    the week its day starts at comes from a memo keyed by the date text,
+    filled by one date.fromisoformat per new date, and the minute of the
+    day from the fixed clock table, with the seconds checked against the
+    60 valid texts. Every other cell goes to parse_timestamp, so accepted
+    forms, values and error messages are its own. Whole timestamps are not
+    memoised, since distinct instants are the rule in a real log; the memo
+    holds one entry per day the log covers.
     """
     summary = IngestSummary()
     table = (seg or SegmentationConfig()).table
@@ -273,6 +289,11 @@ def load_log(
     behaviors: list[str] = []
     behavior_of: dict[tuple[str, str], str] = {}  # (call-type cell, duration cell) -> behavior
     value_of: list[dict[str, str]] = [{} for _ in mapping.context_cols]  # raw cell -> value
+    day_start: dict[str, int] = {}  # "YYYY-MM-DD" -> minute of the week its day starts at
+    # the rest of a canonical timestamp: " HH:MM:" gives the minute of the day,
+    # then "SS" is a valid second; built here, so commands that load no log skip them
+    clock_minute = {" %02d:%02d:" % (h, m): h * 60 + m for h in range(24) for m in range(60)}
+    seconds = frozenset("%02d" % s for s in range(60))
     with open(path, encoding="utf-8-sig", newline="") as fh:  # drops a byte-order mark
         reader = csv.reader(fh, delimiter=mapping.delimiter)
         try:
@@ -294,7 +315,18 @@ def load_log(
                 try:
                     if len(row) < width:
                         raise IngestError("row has fewer cells than the header")
-                    ts = parse_timestamp(row[ts_i])
+                    stamp = row[ts_i]
+                    key = stamp[:10]
+                    day = day_start.get(key)
+                    if day is None and _DATE.fullmatch(key):
+                        try:
+                            day = day_start[key] = date.fromisoformat(key).weekday() * DAY_MINUTES
+                        except ValueError:  # no such date; parse_timestamp says why
+                            pass
+                    clock = clock_minute.get(stamp[10:17])
+                    if day is None or clock is None or stamp[17:] not in seconds:
+                        ts = parse_timestamp(stamp)
+                        day, clock = ts.weekday() * DAY_MINUTES, ts.hour * 60 + ts.minute
                     call = row[type_i], row[duration_i]
                     behavior = behavior_of.get(call)
                     if behavior is None:
@@ -308,7 +340,7 @@ def load_log(
                     if len(summary.skip_reasons) < SKIP_REASONS_KEPT:
                         summary.skip_reasons.append(reason)
                     continue
-                times.append(table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute])
+                times.append(table[day + clock])
                 behaviors.append(behavior)
                 for column, memo, i in cells:
                     cell = row[i]
@@ -327,7 +359,10 @@ def load_log(
     columns = [times] + contexts
     domains = [dict.fromkeys(times)] + [dict.fromkeys(memo.values()) for memo in value_of]
     schema = ContextSchema.create(zip(attr_names, domains), behavior_of.values())
-    ds = Dataset.from_columns(schema, columns, behaviors)
+    # the domains and classes hold exactly these values, so from_columns' check cannot fail
+    ds = Dataset.__new__(Dataset)._fill(
+        schema, len(behaviors), columns=tuple(map(tuple, columns)), behaviors=tuple(behaviors)
+    )
     summary.loaded = len(ds)
     summary.rows_read = summary.loaded + summary.skipped
     summary.unsegmented = times.count(UNSEGMENTED)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from behavrules import serialize
+from behavrules.cli import main
 from behavrules.datamodel import (
     ContextSchema,
     Dataset,
@@ -302,6 +303,16 @@ STAMPS = st.one_of(
         st.integers(2000, 2010), st.integers(0, 13), st.integers(0, 32),
         st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
     ),
+    # a few dates recur with varied clocks, valid or not, canonical or not, so a
+    # later row of a date is decoded from the date memo or refused on its own line
+    st.builds(
+        str.format,
+        st.sampled_from(["{} {}"] * 4 + [" {} {} ", "{}T{}", "{} {}.5", "{}  {}", "{} {}\t"]),
+        st.sampled_from(["2004-09-17", "2004-02-29", "2010-12-31", "2004-02-30", "2004-9-14",
+                         "2004-W38-5"]),
+        st.sampled_from(["09:30:00", "00:00:00", "23:59:59", "12:15:07", "24:00:00",
+                         "12:60:00", "12:00:60", "12:00:61", "8:0:0", "09:30"]),
+    ),
 )
 # cells that decode alike but differ as text: case, padding, a sign, a leading zero
 CALL_TYPES = st.sampled_from(
@@ -417,6 +428,50 @@ def test_skip_reasons_name_the_file_line(tmp_path):
     assert [i.values["relation"] for i in ds.instances] == ["Boss", "Best\nFriend"]
     with pytest.raises(IngestError, match="^line 5: "):
         load_log(str(path), mapping, strict=True)
+
+
+def test_a_bad_clock_on_a_memoised_date_is_refused_on_its_own_line(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "timestamp,call_type,duration,relation\n"  # line 1
+        "2004-09-17 09:30:00,incoming,42,Boss\n"  # a Friday, now memoised
+        "2004-09-17 12:00:60,incoming,42,Boss\n"  # line 3
+        "2004-09-17 23:59:59,incoming,42,Boss\n"
+        "2004-09-17 24:00:00,incoming,42,Boss\n"  # line 5
+        "2004-09-17 12:60:00,incoming,42,Boss\n"
+        "2004-09-17 12:00:61,incoming,42,Boss\n"
+        " 2004-09-17 07:00:00 ,incoming,42,Boss\n"  # padded, so parsed whole
+        "2004-09-17T11:00:00,incoming,42,Boss\n"  # line 9
+        "2004-09-17 11:00:00.5,incoming,42,Boss\n"
+        "2004-09-17 8:0:0,incoming,42,Boss\n"
+        "2004-9-17 08:00:00,incoming,42,Boss\n"
+        "2004-02-30 08:00:00,incoming,42,Boss\n"  # line 13, a date that never was
+        "2004-02-30 08:00:00,incoming,42,Boss\n"
+        "2004-W38-5 08:00:00,incoming,42,Boss\n"  # an ISO week date, which strptime refuses
+    )
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    ds, summary = load_log(str(path), mapping)
+    _, instances, reference = reference_load_log(str(path), mapping, SegmentationConfig())
+    assert summary.skip_reasons == reference.skip_reasons
+    assert summary.skip_reasons[:3] == [
+        "line 3: second must be in 0..59",
+        "line 5: time data '2004-09-17 24:00:00' does not match format '%Y-%m-%d %H:%M:%S'",
+        "line 6: time data '2004-09-17 12:60:00' does not match format '%Y-%m-%d %H:%M:%S'",
+    ]
+    assert [r.split(":")[0] for r in summary.skip_reasons] == [
+        "line %d" % n for n in (3, 5, 6, 7, 9, 10, 13, 14, 15)]
+    assert ds.instances == tuple(instances)
+    assert ds.columns[0] == ("Friday[08:00-10:00]", "Friday[22:00-24:00]", "Friday[06:00-08:00]",
+                             "Friday[08:00-10:00]", "Friday[08:00-10:00]")
+    with pytest.raises(IngestError, match=r"^line 3: second must be in 0\.\.59$"):
+        load_log(str(path), mapping, strict=True)
+    conf = tmp_path / "map.conf"
+    conf.write_text("timestamp_col=timestamp\ntype_col=call_type\nduration_col=duration\n"
+                    "context_cols=relation\n")
+    out = tmp_path / "dataset.csv"
+    assert main(["ingest", str(path), "--mapping", str(conf), "--out", str(out), "--strict"]) == 1
+    assert capsys.readouterr().err == "error: line 3: second must be in 0..59\n"
+    assert not out.exists()
 
 
 def test_a_repeated_bad_call_is_refused_on_each_line(tmp_path):
