@@ -4,15 +4,15 @@ Schemas, datasets and rules are frozen dataclasses. A Dataset is built
 in one of two forms. Dataset.from_columns takes one tuple of values per
 attribute, in schema order, plus a tuple of behavior labels; the
 generator and the fixtures build datasets this way, with no per-row
-objects. ingest stores its columns alike without the domain check, since
-its domains are the values it read. Dataset.from_distinct takes the
-distinct rows, each once in order of first occurrence, as columns, plus
-every dataset row's distinct-row id; a loaded dataset file is built this
-way, so it is its weighted distinct rows and never holds a value per
-cell. Each form's
-missing views are derived and cached on first use: `columns` and
-`behaviors` from the ids, the distinct rows' columns and counts from the
-columns, and `distinct` (the rows with their counts) from those. So are
+objects. ingest hands its columns to Dataset._of_columns, the same form
+without the domain check, since its domains are the values it read.
+Dataset.from_distinct takes the distinct rows, each once in order of
+first occurrence, as columns, plus every dataset row's distinct-row id;
+a loaded dataset file is built this way, so it is its weighted distinct
+rows and never holds a value per cell. Each form's missing views are
+derived and cached on first use: `columns` and `behaviors` from the ids,
+the distinct rows' columns and counts from the columns, and `distinct`
+(the rows with their counts) from those. So are
 `instances`, one Instance per row (its values are a plain dict, which
 callers must not mutate); and `codes`, per attribute each distinct row's
 value index and its code, value index × len(labels) + class index, which
@@ -27,6 +27,7 @@ so comparisons like ">= 80%" never suffer float rounding.
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,8 +102,6 @@ class ContextSchema:
 
     def fingerprint(self) -> str:
         """Stable hash of the schema shape, insensitive to domain order."""
-        import hashlib  # here, its only user, so starting a command does not load it
-
         h = hashlib.sha256()
         for name, domain in self.attributes:
             h.update(name.encode())
@@ -284,6 +283,13 @@ class Dataset:
         columns = tuple(map(tuple, columns))
         behaviors = tuple(behaviors)
         _check_columns(schema, columns, behaviors)
+        return cls._of_columns(schema, columns, behaviors)
+
+    @classmethod
+    def _of_columns(cls, schema: ContextSchema, columns, behaviors) -> "Dataset":
+        """from_columns without its check, for values the domains were built from."""
+        columns = tuple(map(tuple, columns))
+        behaviors = tuple(behaviors)
         return cls.__new__(cls)._fill(schema, len(behaviors), columns=columns, behaviors=behaviors)
 
     @classmethod

@@ -12,8 +12,8 @@ decoded from its parts: each distinct calendar date is parsed once and
 memoised by its "YYYY-MM-DD" text, and the clock is read from fixed
 tables of the 1,440 "HH:MM" and 60 "SS" texts. Whole timestamps are not
 memoised: a real log at one-second resolution seldom repeats an instant,
-so such a memo would only grow, while its dates recur on every row of a
-day.
+so such a memo would only grow. The date memo is bounded: it starts over
+after DATES_KEPT dates.
 """
 
 from __future__ import annotations
@@ -227,26 +227,12 @@ class IngestSummary:
         return "\n".join(lines)
 
 
-_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
-
-
 def parse_timestamp(text: str) -> datetime:
-    """Parse "%Y-%m-%d %H:%M:%S" exactly as datetime.strptime does.
-
-    The zero-padded form takes the faster datetime.fromisoformat; anything
-    else, and anything fromisoformat rejects, goes to strptime, so accepted
-    forms, values and error messages are strptime's.
-    """
-    text = text.strip()
-    if _CANONICAL_TIMESTAMP.fullmatch(text):
-        try:
-            return datetime.fromisoformat(text)
-        except ValueError:
-            pass
-    return datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
+    """Parse "%Y-%m-%d %H:%M:%S", outer blanks aside, with datetime.strptime."""
+    return datetime.strptime(text.strip(), "%Y-%m-%d %H:%M:%S")
 
 
-_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # a canonical timestamp's first 10 characters
+DATES_KEPT = 4096  # the date memo starts over when full: over eleven years of days
 
 
 def load_log(
@@ -278,9 +264,11 @@ def load_log(
     filled by one date.fromisoformat per new date, and the minute of the
     day from the fixed clock table, with the seconds checked against the
     60 valid texts. Every other cell goes to parse_timestamp, so accepted
-    forms, values and error messages are its own. Whole timestamps are not
-    memoised, since distinct instants are the rule in a real log; the memo
-    holds one entry per day the log covers.
+    forms, values and error messages are strptime's. Whole timestamps are
+    not memoised, since distinct instants are the rule in a real log. The
+    date memo holds one entry per day the log covers, and starts over
+    after DATES_KEPT of them, so a log whose dates seldom recur pays a
+    small memo's miss on each row and no ever-growing one.
     """
     summary = IngestSummary()
     table = (seg or SegmentationConfig()).table
@@ -318,12 +306,18 @@ def load_log(
                     stamp = row[ts_i]
                     key = stamp[:10]
                     day = day_start.get(key)
-                    if day is None and _DATE.fullmatch(key):
+                    clock = clock_minute.get(stamp[10:17])
+                    # a matched clock makes key 10 characters; with dashes at 4 and 7,
+                    # fromisoformat reads it only as "YYYY-MM-DD", as strptime would
+                    if day is None and clock is not None and key[4] == key[7] == "-":
                         try:
-                            day = day_start[key] = date.fromisoformat(key).weekday() * DAY_MINUTES
+                            day = date.fromisoformat(key).weekday() * DAY_MINUTES
                         except ValueError:  # no such date; parse_timestamp says why
                             pass
-                    clock = clock_minute.get(stamp[10:17])
+                        else:
+                            if len(day_start) == DATES_KEPT:
+                                day_start.clear()
+                            day_start[key] = day
                     if day is None or clock is None or stamp[17:] not in seconds:
                         ts = parse_timestamp(stamp)
                         day, clock = ts.weekday() * DAY_MINUTES, ts.hour * 60 + ts.minute
@@ -359,10 +353,7 @@ def load_log(
     columns = [times] + contexts
     domains = [dict.fromkeys(times)] + [dict.fromkeys(memo.values()) for memo in value_of]
     schema = ContextSchema.create(zip(attr_names, domains), behavior_of.values())
-    # the domains and classes hold exactly these values, so from_columns' check cannot fail
-    ds = Dataset.__new__(Dataset)._fill(
-        schema, len(behaviors), columns=tuple(map(tuple, columns)), behaviors=tuple(behaviors)
-    )
+    ds = Dataset._of_columns(schema, columns, behaviors)  # the domains are these very values
     summary.loaded = len(ds)
     summary.rows_read = summary.loaded + summary.skipped
     summary.unsegmented = times.count(UNSEGMENTED)

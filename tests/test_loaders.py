@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from behavrules import serialize
+from behavrules import ingest, serialize
 from behavrules.cli import main
 from behavrules.datamodel import (
     ContextSchema,
@@ -472,6 +472,21 @@ def test_a_bad_clock_on_a_memoised_date_is_refused_on_its_own_line(tmp_path, cap
     assert main(["ingest", str(path), "--mapping", str(conf), "--out", str(out), "--strict"]) == 1
     assert capsys.readouterr().err == "error: line 3: second must be in 0..59\n"
     assert not out.exists()
+
+
+def test_the_date_memo_starts_over_when_full(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "DATES_KEPT", 2)
+    dates = ["2004-09-%02d" % d for d in (13, 14, 15, 13, 16, 14, 17, 13, 15, 31)]
+    clocks = ["09:30:00", "23:59:59", "12:00:60", "00:00:00", "24:00:00", "12:15:07", "07:00:00"]
+    rows = ["%s %s,incoming,42,Boss" % (d, clocks[i % 7]) for i, d in enumerate(dates * 3)]
+    path = tmp_path / "log.csv"
+    path.write_text("timestamp,call_type,duration,relation\n" + "\n".join(rows) + "\n")
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("relation",))
+    ds, summary = load_log(str(path), mapping)
+    _, instances, reference = reference_load_log(str(path), mapping, SegmentationConfig())
+    assert ds.instances == tuple(instances)
+    assert summary.skip_reasons == reference.skip_reasons
+    assert summary.skipped == 10  # eight bad clocks, and two good ones on September 31
 
 
 def test_a_repeated_bad_call_is_refused_on_each_line(tmp_path):

@@ -35,10 +35,3 @@ def test_each_module_imports_alone(module):
     done = _python("import behavrules.%s" % module)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-
-
-def test_the_command_line_loads_no_hash_module():
-    # only ContextSchema.fingerprint hashes, and no command needs it to start
-    done = _python("import sys, behavrules.cli; print('hashlib' in sys.modules)")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
