@@ -1,7 +1,9 @@
 """Association generation tree: grow, then mark redundant nodes and extract rules.
 
 The tree is grown top-down. Each node carries the dominant behavior class
-of its instance subset and an exact-rational confidence. A node's subset
+of its instance subset, that class's support and the subset's size, whose
+exact ratio is the node's confidence; the attribute a node splits on is
+its children's branch attribute. A node's subset
 is a list of ascending distinct-row ids, each standing for as many rows
 as its multiplicity (see Dataset.codes), and its size is the sum of its
 class counts (by sorted label). Gains are computed only where a node has
@@ -73,12 +75,7 @@ class AgtNode:
     support: int  # instances at this node with the dominant behavior
     size: int  # all instances at this node
     redundant: bool = False  # set by extract_rules for its config; build_tree leaves it False
-    split_attribute: Optional[str] = None
     children: list["AgtNode"] = field(default_factory=list)
-
-    @property
-    def confidence(self) -> Fraction:
-        return Fraction(self.support, self.size)
 
     def walk(self):
         """Depth-first preorder over the whole tree, redundant nodes included."""
@@ -144,7 +141,6 @@ def build_tree(ds: Dataset, cfg: MiningConfig) -> AgtNode:
                 children, others = splits[0].children, splits[1:]
             else:
                 children, others = precedence.child_counts(ds, rows, attr), None
-        node.split_attribute = attr
         if not rest:  # contexts exhausted: the children are leaves, next in preorder
             for val, sub in children:
                 node.children.append(_node(next_id, (attr, val), labels, sub))

@@ -11,15 +11,14 @@ first occurrence, as columns, plus every dataset row's distinct-row id;
 a loaded dataset file is built this way, so it is its weighted distinct
 rows and never holds a value per cell. Each form's missing views are
 derived and cached on first use: `columns` and `behaviors` from the ids,
-the distinct rows' columns and counts from the columns, and `distinct`
-(the rows with their counts) from those. So are
+and the distinct rows' columns and counts from the columns. So are
 `instances`, one Instance per row (its values are a plain dict, which
 callers must not mutate); and `codes`, per attribute each distinct row's
 value index and its code, value index × len(labels) + class index, which
 both miners tally weighted by the counts and partition by value (see
 RowCodes). The caches never change what a public method returns. The row
 layer (Instance, `instances`, Dataset(schema, instances), create,
-subset) serves only the tests and the benchmark.
+subset) and rule_stats serve only the tests and the benchmark.
 Confidence values are exact rationals (support / coverage), and every
 threshold is applied by confidence_test's integer cross-multiplication,
 so comparisons like ">= 80%" never suffer float rounding.
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 
 class InputError(ValueError):
@@ -136,9 +135,6 @@ class Instance:
             raise SchemaViolation("instance has unknown attributes %r" % sorted(extra))
         if self.behavior not in schema.behavior_classes:
             raise SchemaViolation("unknown behavior class %r" % self.behavior)
-
-    def matches(self, antecedent: Iterable[Condition]) -> bool:
-        return all(self.values.get(a) == v for a, v in antecedent)
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ class Dataset:
     """Ordered rows sharing one schema, held as columns or as distinct rows.
 
     columns holds one tuple of values per schema attribute, in schema
-    order; behaviors holds the rows' labels; distinct holds each distinct
+    order; behaviors holds the rows' labels; _distinct holds each distinct
     row once with its count. A dataset built from one form derives the
     others on first use. Two datasets are equal when their schemas and
     rows are, whichever form they were built from. Empty datasets are
@@ -351,14 +347,6 @@ class Dataset:
         return _transpose(tally, len(self.schema.attributes) + 1), list(tally.values())
 
     @cached_property
-    def distinct(self) -> tuple[tuple[tuple[str, ...], ...], list[int]]:
-        """(rows, counts): each distinct row once, its values in schema order
-        and then its behavior, in order of first occurrence, and how many
-        dataset rows equal each."""
-        columns, counts = self._distinct
-        return tuple(zip(*columns)), counts
-
-    @cached_property
     def instances(self) -> tuple[Instance, ...]:
         """One Instance per row, built on first use and then shared."""
         names = self.schema.attribute_names
@@ -398,22 +386,12 @@ class Dataset:
 class RuleStats:
     """Support/coverage counts for one candidate rule over a dataset.
 
-    coverage == 0 means the antecedent matched nothing; confidence is then
-    undefined (None) rather than an error.
+    coverage == 0 means the antecedent matched nothing, so the rule has
+    no confidence; otherwise its confidence is support / coverage.
     """
 
     support: int
     coverage: int
-
-    @property
-    def covered(self) -> bool:
-        return self.coverage > 0
-
-    @property
-    def confidence(self) -> Optional[Fraction]:
-        if self.coverage == 0:
-            return None
-        return Fraction(self.support, self.coverage)
 
 
 def confidence_test(threshold) -> Callable[[int, int], bool]:

@@ -116,10 +116,6 @@ class SegmentationConfig:
             raise ConfigError("unknown segmentation mode %r" % self.mode)
         object.__setattr__(self, "table", tuple(table))
 
-    def labels(self) -> list[str]:
-        """All labels this config can produce, each once in week order (minus "Unsegmented")."""
-        return [label for label in dict.fromkeys(self.table) if label != UNSEGMENTED]
-
 
 _HHMM = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
 
@@ -131,11 +127,6 @@ def _minutes(hhmm: str) -> int:
     if not 0 <= minutes <= DAY_MINUTES:
         raise ConfigError("bad time %r" % hhmm)
     return minutes
-
-
-def segment_timestamp(ts: datetime, cfg: SegmentationConfig) -> str:
-    """The label of the instant's minute of the week; buckets are [start, end)."""
-    return cfg.table[ts.weekday() * DAY_MINUTES + ts.hour * 60 + ts.minute]
 
 
 @dataclass(frozen=True)

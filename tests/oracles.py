@@ -69,12 +69,13 @@ def brute_force_cars(ds, threshold, min_support=1):
                 conditions = tuple(
                     (name, val) for (name, _), val in zip(chosen, values)
                 )
-                coverage = sum(1 for i in ds.instances if i.matches(conditions))
+                wanted = frozenset(conditions)
+                coverage = sum(1 for i in ds.instances if i.values.items() >= wanted)
                 if coverage == 0:
                     continue
                 per_class = {}
                 for inst in ds.instances:
-                    if inst.matches(conditions):
+                    if inst.values.items() >= wanted:
                         per_class[inst.behavior] = per_class.get(inst.behavior, 0) + 1
                 for cls, support in per_class.items():
                     if support >= min_support and coverage >= min_support:
@@ -93,7 +94,8 @@ def direct_frequent(ds, min_support=1):
                 conditions = tuple(
                     (name, val) for (name, _), val in zip(chosen, values)
                 )
-                support = sum(1 for i in ds.instances if i.matches(conditions))
+                wanted = frozenset(conditions)
+                support = sum(1 for i in ds.instances if i.values.items() >= wanted)
                 if support >= min_support:
                     found[frozenset(conditions)] = support
     return found
@@ -214,23 +216,22 @@ def reference_tree(ds, cfg):
         dominant = min(counts, key=lambda c: (-counts[c], c))
         node = AgtNode(next_id, branch, dominant, counts[dominant], len(instances))
         next_id += 1
-        if ancestors and node.confidence >= t:
+        if ancestors and Fraction(node.support, node.size) >= t:
             compare_to = [ancestors[-1]]
             if cfg.strict_redundancy:
-                qualifying = [a for a in ancestors if a.confidence >= t]
+                qualifying = [a for a in ancestors if Fraction(a.support, a.size) >= t]
                 if qualifying:
                     compare_to.append(qualifying[-1])
             node.redundant = any(
-                anc.confidence >= t and anc.dominant_behavior == dominant
+                Fraction(anc.support, anc.size) >= t and anc.dominant_behavior == dominant
                 for anc in compare_to
             )
-        if node.confidence == 1 or not remaining:
+        if node.support == node.size or not remaining:
             return node
         if global_order is not None:
             split = next(a for a in global_order if a in remaining)
         else:
             split = reference_ranking(schema, instances, remaining)[0][0]
-        node.split_attribute = split
         rest = [a for a in remaining if a != split]
         for val in schema.domain(split):
             sub = [i for i in instances if i.values[split] == val]
@@ -274,18 +275,16 @@ def example_tree():
     from behavrules.agt import AgtNode
 
     lecture = AgtNode(2, ("Activity", "Lecture"), "Reject", 100, 100)
-    meeting = AgtNode(3, ("Activity", "Meeting"), "Reject", 85, 100,
-                      split_attribute="Relation")
+    meeting = AgtNode(3, ("Activity", "Meeting"), "Reject", 85, 100)
     lunch_friend = AgtNode(4, ("Relation", "Friend"), "Accept", 92, 100)
     lunch_unknown = AgtNode(5, ("Relation", "Unknown"), "Missed", 95, 100)
     meeting_friend = AgtNode(6, ("Relation", "Friend"), "Reject", 90, 100,
                              redundant=True)
     meeting_boss = AgtNode(7, ("Relation", "Boss"), "Accept", 100, 100)
-    lunch = AgtNode(8, ("Activity", "Lunch"), "Accept", 55, 100,
-                    split_attribute="Relation")
+    lunch = AgtNode(8, ("Activity", "Lunch"), "Accept", 55, 100)
     meeting.children = [meeting_friend, meeting_boss]
     lunch.children = [lunch_friend, lunch_unknown]
-    root = AgtNode(1, None, "Reject", 150, 300, split_attribute="Activity")
+    root = AgtNode(1, None, "Reject", 150, 300)
     root.children = [lecture, meeting, lunch]
     return root
 
@@ -634,8 +633,7 @@ def reference_generate(
                     values[attr] = fixed.get(attr) or rng.choice(domain)
                 # overlap with another planted antecedent would skew its
                 # realized confidence
-                probe = Instance(values, spec.consequent)
-                if not any(probe.matches(a) for a in foreign):
+                if not any(values.items() >= frozenset(a) for a in foreign):
                     break
             else:
                 raise GenerationError(
@@ -654,8 +652,7 @@ def reference_generate(
             values = {
                 attr: rng.choice(domain) for attr, domain in schema.attributes
             }
-            probe = Instance(values, classes[0])
-            if not any(probe.matches(a) for a in antecedents):
+            if not any(values.items() >= frozenset(a) for a in antecedents):
                 break
         else:
             raise GenerationError(

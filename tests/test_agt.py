@@ -52,7 +52,6 @@ class TestBuildTree:
         assert root.node_id == 1
         assert root.branch is None
         assert not root.redundant
-        assert root.split_attribute == "Relation"
         assert [c.branch for c in root.children] == [
             ("Relation", "Boss"), ("Relation", "Friend"),
         ]
@@ -62,15 +61,14 @@ class TestBuildTree:
         assert boss.children == []  # pure node, never elaborated
         assert not boss.redundant
 
-        assert (friend.dominant_behavior, friend.confidence) == ("Reject", Fraction(4, 5))
-        assert friend.split_attribute == "Activity"
+        assert (friend.dominant_behavior, friend.support, friend.size) == ("Reject", 4, 5)
         assert not friend.redundant
         meeting, lunch = friend.children
         assert meeting.branch == ("Activity", "Meeting")
-        assert (meeting.dominant_behavior, meeting.confidence) == ("Reject", Fraction(1))
+        assert (meeting.dominant_behavior, meeting.support, meeting.size) == ("Reject", 4, 4)
         assert meeting.redundant  # same class as parent, both above threshold
         assert lunch.branch == ("Activity", "Lunch")
-        assert (lunch.dominant_behavior, lunch.confidence) == ("Accept", Fraction(1))
+        assert (lunch.dominant_behavior, lunch.support, lunch.size) == ("Accept", 1, 1)
         assert not lunch.redundant
 
     def test_node_ids_follow_depth_first_creation(self):
@@ -93,7 +91,7 @@ class TestBuildTree:
         )
         root = build_tree(ds, T75)
         assert root.children == []
-        assert root.confidence == 1
+        assert root.support == root.size == 4
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDatasetError):
@@ -223,9 +221,9 @@ class TestProperties:
         ds = demo_dataset()
         cfg = MiningConfig(Fraction(3, 4), global_ranking=True)
         root = build_tree(ds, cfg)
-        assert root.split_attribute == "Relation"
+        assert [c.branch[0] for c in root.children] == ["Relation", "Relation"]
         friend = root.children[1]
-        assert friend.split_attribute == "Activity"
+        assert [c.branch[0] for c in friend.children] == ["Activity", "Activity"]
 
     def test_global_ranking_splits_the_root_once_per_attribute(self, monkeypatch):
         from behavrules import precedence
@@ -375,6 +373,12 @@ def test_traced_mine_agt_counts_the_tree_it_grows(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["rc"] == 0, result["error"]
     ds = serialize.dataset_from_csv(dataset.read_text(encoding="utf-8"))
-    root = build_tree(ds, MiningConfig(Fraction(4, 5)))
+    cfg = MiningConfig(Fraction(4, 5))
+    root = build_tree(ds, cfg)
+    rules = extract_rules(root, cfg)  # marks the tree as the command does
+    redundant = sum(n.redundant for n in root.walk())
+    assert rules and redundant
     assert result["layers"]["agt.build_tree_calls"] == 1
     assert result["layers"]["agt.nodes"] == len(list(root.walk()))
+    assert result["layers"]["agt.rules"] == len(rules)
+    assert result["layers"]["agt.redundant_nodes"] == redundant

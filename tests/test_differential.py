@@ -53,7 +53,7 @@ def _datasets(seed, count, shapes=SHAPES):
 def _node_fields(root):
     return [
         (n.node_id, n.branch, n.dominant_behavior, n.support, n.size,
-         n.redundant, n.split_attribute)
+         n.redundant)
         for n in root.walk()
     ]
 
@@ -156,7 +156,7 @@ def test_mine_frequent_supports_match_direct_counting(min_support):
         assert {fi.items: fi.support for fi in found} == direct_frequent(ds, min_support)
         labels = sorted(ds.schema.behavior_classes)
         for fi in found:
-            matching = [i.behavior for i in ds.instances if i.matches(tuple(fi.items))]
+            matching = [i.behavior for i in ds.instances if i.values.items() >= fi.items]
             assert fi.class_supports == tuple(matching.count(cls) for cls in labels)
         keys = [(len(fi.items), sorted(fi.items)) for fi in found]
         assert keys == sorted(keys)  # level-wise, then sorted conditions
@@ -335,7 +335,7 @@ def edge_datasets(draw):
 @SETTINGS
 @given(ds=st.one_of(duplicate_heavy_datasets(), edge_datasets()), data=st.data())
 def test_tally_counts_like_a_scan_of_the_instances(ds, data):
-    rows, _ = ds.distinct
+    rows = list(dict.fromkeys(zip(*ds.columns, ds.behaviors)))  # in distinct-row id order
     keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     chosen = [d for d, kept in enumerate(keep) if kept]  # ascending distinct-row ids
     wanted = {rows[d] for d in chosen}
@@ -394,7 +394,8 @@ def _breakpoints(ds):
     """
     points = {Fraction(s, c) for _, _, s, c in brute_force_cars(ds, Fraction(0))}
     if len(ds) and ds.schema.attribute_names:
-        points |= {n.confidence for n in reference_tree(ds, agt.MiningConfig(Fraction(1))).walk()}
+        tree = reference_tree(ds, agt.MiningConfig(Fraction(1)))
+        points |= {Fraction(n.support, n.size) for n in tree.walk()}
     return points
 
 

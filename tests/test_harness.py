@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import behavrules
 from behavrules import agt, apriori, serialize
+from behavrules.cli import main
 from behavrules.datamodel import ConfigError, ContextSchema
 from behavrules.fixtures import demo_dataset
 from behavrules.harness import (
@@ -21,6 +22,7 @@ from behavrules.harness import (
     report_to_json,
     sweep,
 )
+from behavrules.ingest import ColumnMapping, load_log
 from behavrules.synth import PlantedRuleSpec, generate
 
 
@@ -170,20 +172,40 @@ class TestSweep:
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_traced_sweep_counts_what_the_miners_return(tmp_path):
-    """The benchmark's tracer (perfbench/op.py, TRACE=1) still finds the miners."""
-    dataset = REPO / "tests" / "golden" / "dataset.csv"
+def _traced_layers(workdir, command):
+    """The per-layer metrics of one command run by perfbench/op.py with TRACE=1."""
     src = Path(behavrules.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "op.py"), str(src), str(tmp_path), "1",
-         json.dumps(["sweep", str(dataset)])],
+        [sys.executable, str(REPO / "perfbench" / "op.py"), str(src), str(workdir), "1",
+         json.dumps(command)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["rc"] == 0, result["error"]
+    return result["layers"]
+
+
+def test_traced_sweep_counts_what_the_miners_return(tmp_path):
+    """The benchmark's tracer (perfbench/op.py, TRACE=1) still finds the miners."""
+    dataset = REPO / "tests" / "golden" / "dataset.csv"
+    layers = _traced_layers(tmp_path, ["sweep", str(dataset)])
     ds = serialize.dataset_from_csv(dataset.read_text(encoding="utf-8"))
     frequent = apriori.mine_frequent(ds, 1)
     cars = apriori.generate_cars(ds, frequent, min(DEFAULT_THRESHOLDS), 1)
-    assert result["layers"]["apriori.frequent_itemsets"] == len(frequent)
-    assert result["layers"]["apriori.cars"] == len(cars)
+    assert layers["apriori.frequent_itemsets"] == len(frequent)
+    assert layers["apriori.cars"] == len(cars)
+
+
+def test_traced_ingest_counts_the_rows_it_reads(tmp_path):
+    """The benchmark's tracer (perfbench/op.py, TRACE=1) still finds the loader."""
+    golden = REPO / "tests" / "golden"
+    log = tmp_path / "log.csv"
+    assert main(["gen", "--spec", str(golden / "spec.json"), "--out", str(log)]) == 0
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write("not-a-time,incoming,60,Boss,Home,Idle\n")  # read, then skipped
+    mapping = str(golden / "map.conf")
+    layers = _traced_layers(tmp_path, ["ingest", str(log), "--mapping", mapping, "--out", "d.csv"])
+    _, summary = load_log(str(log), ColumnMapping.from_file(mapping))
+    assert summary.rows_read == summary.loaded + 1
+    assert layers["ingest.rows_read"] == summary.rows_read

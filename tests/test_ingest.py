@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import behavrules
 from behavrules.datamodel import ConfigError
 from behavrules.ingest import (
+    DAY_MINUTES,
+    DAY_NAMES,
     ColumnMapping,
     CustomSegment,
     IngestError,
@@ -18,7 +20,6 @@ from behavrules.ingest import (
     derive_behavior,
     load_log,
     parse_timestamp,
-    segment_timestamp,
 )
 from oracles import reference_segment_timestamp, reference_segments_error
 
@@ -114,34 +115,40 @@ class TestParseTimestamp:
         assert _outcome(parse_timestamp, text) == _outcome(reference, text)
 
 
+# the table's first minute of Friday; Monday's is 0
+FRIDAY = DAY_NAMES.index("Friday") * DAY_MINUTES
+
+
 class TestSegmentation:
     def test_two_hour_bucket_example(self):
-        ts = datetime(2004, 9, 17, 9, 30)  # a Friday
         cfg = SegmentationConfig(bucket_hours=2)
-        assert segment_timestamp(ts, cfg) == "Friday[08:00-10:00]"
+        assert cfg.table[FRIDAY + 9 * 60 + 30] == "Friday[08:00-10:00]"
 
     def test_weekday_only_projection(self):
         cfg = SegmentationConfig(mode="weekday-only")
-        assert segment_timestamp(datetime(2004, 9, 13, 23, 59), cfg) == "Monday"
+        assert cfg.table[23 * 60 + 59] == "Monday"
 
     def test_boundary_goes_to_starting_bucket(self):
-        ts = datetime(2004, 9, 17, 10, 0, 0)
         cfg = SegmentationConfig(bucket_hours=2)
-        assert segment_timestamp(ts, cfg) == "Friday[10:00-12:00]"
+        assert cfg.table[FRIDAY + 10 * 60] == "Friday[10:00-12:00]"
 
     def test_bucket_labels_enumerate_the_week(self):
         for hours in (1, 2, 3, 6, 24):
             cfg = SegmentationConfig(bucket_hours=hours)
-            labels = cfg.labels()
-            assert len(labels) == 7 * (24 // hours)
-            assert len(set(labels)) == len(labels)
+            assert len(set(cfg.table)) == 7 * (24 // hours)
 
-    def test_a_label_shared_by_two_custom_segments_is_listed_once(self):
+    def test_a_label_shared_by_two_custom_segments_is_listed_once(self, tmp_path):
         cfg = _custom(
             ("Friday", "10:00", "12:00", "Busy"), ("Monday", "08:00", "09:00"),
             ("Saturday", "10:00", "12:00", "Busy"),
         )
-        assert cfg.labels() == ["Monday[08:00-09:00]", "Busy"]
+        # a Friday, a Monday and a Saturday
+        stamps = ["2004-09-17 10:30:00", "2004-09-13 08:15:00", "2004-09-18 11:59:00"]
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(
+            [GOOD_ROWS[0]] + ["%s,incoming,42,Boss,Meeting" % s for s in stamps]) + "\n")
+        ds, _ = load_log(str(path), MAPPING, cfg)
+        assert ds.schema.domain("Time") == ("Busy", "Monday[08:00-09:00]")
 
     def test_bad_bucket_hours_rejected(self):
         for hours in (5, 0, -2, 48, 2.0, "2", None):
@@ -156,15 +163,15 @@ class TestSegmentation:
                 CustomSegment("Friday", "11:00", "13:00", label="FridayLunch"),
             ),
         )
-        assert segment_timestamp(datetime(2004, 9, 17, 9, 0), cfg) == "Friday[09:00-11:00]"
-        assert segment_timestamp(datetime(2004, 9, 17, 12, 30), cfg) == "FridayLunch"
+        assert cfg.table[FRIDAY + 9 * 60] == "Friday[09:00-11:00]"
+        assert cfg.table[FRIDAY + 12 * 60 + 30] == "FridayLunch"
 
     def test_instant_outside_custom_segments_is_unsegmented(self):
         cfg = SegmentationConfig(
             mode="custom-boundaries",
             segments=(CustomSegment("Friday", "09:00", "11:00"),),
         )
-        assert segment_timestamp(datetime(2004, 9, 13, 9, 30), cfg) == "Unsegmented"
+        assert cfg.table[9 * 60 + 30] == "Unsegmented"  # Monday
 
     def test_overlapping_custom_segments_rejected(self):
         with pytest.raises(ConfigError):
@@ -209,13 +216,13 @@ class TestSegmentationTable:
         monday = datetime(2004, 9, 13)
         for minute in range(7 * 24 * 60):
             ts = monday + timedelta(minutes=minute, seconds=minute % 60)
-            assert segment_timestamp(ts, cfg) == reference_segment_timestamp(ts, cfg)
+            assert cfg.table[minute] == reference_segment_timestamp(ts, cfg)
 
     @pytest.mark.parametrize("cfg", FIXED_CONFIGS.values(), ids=FIXED_CONFIGS)
     def test_fixed_mode_labels_follow_the_week(self, cfg):
         monday = datetime(2004, 9, 13)
         week = (monday + timedelta(minutes=m) for m in range(7 * 24 * 60))
-        assert cfg.labels() == list(dict.fromkeys(
+        assert list(dict.fromkeys(cfg.table)) == list(dict.fromkeys(
             reference_segment_timestamp(ts, cfg) for ts in week
         ))
 

@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from behavrules import ingest, serialize
@@ -181,7 +181,6 @@ def test_loading_into_distinct_rows_matches_column_built_and_reference(tmp_path,
         assert list(ds.class_counts().items()) == class_counts
         assert ds.columns == built.columns and ds.behaviors == built.behaviors
         assert ds.instances == built.instances == tuple(instances)
-        assert ds.distinct == built.distinct
 
 
 class _CountingReader:
@@ -214,7 +213,7 @@ def test_a_repeated_line_is_parsed_once(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         ds = dataset_from_csv(fh)
     assert len(records) <= 4  # the header and each distinct line
-    assert len(ds) == 30_000 and len(ds.distinct[0]) == 3
+    assert len(ds) == 30_000 and len(ds.codes.counts) == 3
     records.clear()
     assert dataset_from_csv(text) == ds and len(records) <= 4
 
@@ -383,7 +382,29 @@ SEGMENTATIONS = st.sampled_from([
 ])
 
 
+def _one_line_records(*stamps):
+    """A call_logs value of one incoming call per stamp, one line per record."""
+    lines = ["timestamp,call_type,duration,rel"] + ["%s,incoming,42,Boss" % s for s in stamps]
+    mapping = ColumnMapping("timestamp", "call_type", "duration", ("rel",))
+    return "\n".join(lines) + "\n", mapping, list(range(2, len(stamps) + 2))
+
+
+# Each clock edge on a memoised date (a Friday's) and on a new date (a Sunday,
+# the last day of the table), then a padded canonical cell and cells too short
+# to hold a clock. Explicit examples run first and are never shrunk, so a
+# loader that misreads one of them fails at once.
+CLOCK_EDGES = ["24:00:00", "12:60:00", "12:00:60"]
+EDGE_STAMPS = (["2004-09-17 09:30:00"] + ["2004-09-17 " + c for c in CLOCK_EDGES]
+               + ["2004-09-19 " + c for c in CLOCK_EDGES] + [" 2004-09-17 09:30:00 ", "", "2004"])
+
+
 @SETTINGS
+@example(log=_one_line_records(*EDGE_STAMPS), strict=False, seg=SegmentationConfig())
+@example(log=_one_line_records("2004-09-17 09:30:00", "2004-09-17 24:00:00"),
+         strict=True, seg=SegmentationConfig())
+@example(log=_one_line_records("2004-09-17 09:30:00", "2004-09-17 12:60:00"),
+         strict=True, seg=SegmentationConfig())
+@example(log=_one_line_records("2004-09-19 12:00:60"), strict=True, seg=SegmentationConfig())
 @given(log=call_logs(), strict=st.booleans(), seg=SEGMENTATIONS)
 def test_load_log_matches_row_wise_reference(tmp_path, log, strict, seg):
     text, mapping, ends = log

@@ -41,7 +41,7 @@ class TestGenerate:
         assert len(ds) == 1000
         stats = rule_stats(ds, [("Activity", "Meeting")], "Reject")
         assert stats.coverage == 500
-        assert Fraction(83, 100) <= stats.confidence <= Fraction(87, 100)
+        assert Fraction(83, 100) <= Fraction(stats.support, stats.coverage) <= Fraction(87, 100)
 
     def test_single_instance_at_full_confidence(self):
         spec = PlantedRuleSpec(
@@ -67,7 +67,8 @@ class TestGenerate:
         ds = generate(SCHEMA, [MEETING_REJECT, boss_accept], 2000, seed=5)
         for spec in (MEETING_REJECT, boss_accept):
             stats = rule_stats(ds, spec.antecedent, spec.consequent)
-            assert abs(stats.confidence - spec.target_confidence) <= Fraction(2, 100)
+            confidence = Fraction(stats.support, stats.coverage)
+            assert abs(confidence - spec.target_confidence) <= Fraction(2, 100)
 
     def test_oversubscribed_quotas_rejected(self):
         heavy = PlantedRuleSpec(
@@ -250,7 +251,7 @@ def call_log_datasets(draw, names, values):
                   for name in draw(st.lists(names, min_size=1, max_size=3, unique=True))]
     mode = draw(st.sampled_from(["weekday-hour-bucket", "weekday-only", None]))
     if mode is not None:
-        labels = SegmentationConfig(mode).labels()
+        labels = list(dict.fromkeys(SegmentationConfig(mode).table))
         domain = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
         attributes.insert(draw(st.integers(0, len(attributes))), (TIME_ATTRIBUTE, domain))
     classes = draw(st.lists(st.sampled_from(BEHAVIOR_CLASSES), min_size=1, unique=True))
